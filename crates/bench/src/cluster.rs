@@ -23,7 +23,9 @@ use whisper::{
 use whisper_election::BullyConfig;
 use whisper_obs::{AvailabilityLedger, NodeSnapshot, Recorder};
 use whisper_simnet::tcpnet::{TcpNet, TcpNetBuilder};
-use whisper_simnet::{Actor, Context, FaultPlan, MetricsSnapshot, NodeId, SimDuration};
+use whisper_simnet::{
+    Actor, Context, FaultPlan, MetricsSnapshot, NodeId, SimDuration, Spawner, Substrate,
+};
 use whisper_soap::Envelope;
 use whisper_xml::Element;
 
@@ -549,17 +551,33 @@ pub(crate) fn poll_snapshots_on(
         net.inject(probe, t, WhisperMsg::ScopeRequest { request_id });
     }
     let deadline = Instant::now() + timeout;
-    loop {
-        {
-            let store = store.lock().expect("probe store poisoned");
-            if store.get(&request_id).map(Vec::len).unwrap_or(0) >= targets.len() {
-                break;
-            }
+    collect_snapshots(store, request_id, targets.len(), || {
+        let waiting = Instant::now() < deadline;
+        if waiting {
+            std::thread::sleep(Duration::from_millis(2));
         }
-        if Instant::now() >= deadline {
+        waiting
+    })
+}
+
+/// Takes what the probe collected for `request_id`, sorted by node index,
+/// once `want` snapshots are in or `wait` — which lets the substrate run a
+/// beat — reports the deadline passed.
+fn collect_snapshots(
+    store: &SnapshotStore,
+    request_id: u64,
+    want: usize,
+    mut wait: impl FnMut() -> bool,
+) -> Vec<(NodeId, NodeSnapshot)> {
+    loop {
+        let have = store
+            .lock()
+            .expect("probe store poisoned")
+            .get(&request_id)
+            .map_or(0, Vec::len);
+        if have >= want || !wait() {
             break;
         }
-        std::thread::sleep(Duration::from_millis(2));
     }
     let mut got = store
         .lock()
@@ -568,6 +586,76 @@ pub(crate) fn poll_snapshots_on(
         .unwrap_or_default();
     got.sort_by_key(|(n, _)| n.index());
     got
+}
+
+/// The scope probe for a deployment on *any* substrate: the same in-band
+/// poll protocol as [`TcpCluster::poll_snapshots`], waiting on the
+/// substrate's own clock (virtual time on the simulator, the wall on the
+/// live runtimes) — so a test can wait for the cluster to *say* it has
+/// settled instead of sleeping for a horizon it hopes is long enough.
+pub struct SubstrateProbe {
+    node: NodeId,
+    store: SnapshotStore,
+    next_request: AtomicU64,
+}
+
+impl SubstrateProbe {
+    /// Adds the probe node behind whatever `spawner` already holds (after
+    /// [`whisper::deploy::Deployment::wire_onto`], like a client).
+    pub fn add_to(spawner: &mut impl Spawner<WhisperMsg>) -> SubstrateProbe {
+        let store: SnapshotStore = Arc::new(Mutex::new(HashMap::new()));
+        let node = spawner.add(ScopeProbe {
+            store: Arc::clone(&store),
+        });
+        SubstrateProbe {
+            node,
+            store,
+            next_request: AtomicU64::new(1),
+        }
+    }
+
+    /// One scope poll of `targets`: whatever answered within `timeout`.
+    pub fn poll<N: Substrate<WhisperMsg>>(
+        &self,
+        net: &mut N,
+        targets: &[NodeId],
+        timeout: SimDuration,
+    ) -> Vec<(NodeId, NodeSnapshot)> {
+        let request_id = self.next_request.fetch_add(1, Ordering::SeqCst);
+        for &t in targets {
+            net.inject(self.node, t, WhisperMsg::ScopeRequest { request_id });
+        }
+        let deadline = net.now() + timeout;
+        collect_snapshots(&self.store, request_id, targets.len(), || {
+            let waiting = net.now() < deadline;
+            if waiting {
+                net.advance(SimDuration::from_millis(2));
+            }
+            waiting
+        })
+    }
+
+    /// Polls `targets` until every one of them answers and `settled`
+    /// accepts the snapshots; `false` when `timeout` ran out first.
+    pub fn settle<N: Substrate<WhisperMsg>>(
+        &self,
+        net: &mut N,
+        targets: &[NodeId],
+        timeout: SimDuration,
+        settled: impl Fn(&[(NodeId, NodeSnapshot)]) -> bool,
+    ) -> bool {
+        let deadline = net.now() + timeout;
+        loop {
+            let snaps = self.poll(net, targets, SimDuration::from_secs(2));
+            if snaps.len() == targets.len() && settled(&snaps) {
+                return true;
+            }
+            if net.now() >= deadline {
+                return false;
+            }
+            net.advance(SimDuration::from_millis(20));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,50 +1,85 @@
-//! One fault plan, two clocks: the same [`FaultPlan`] — coordinator
-//! killed and restarted twice — replays against the same [`Deployment`]
-//! on the virtual-time simulator and on OS threads, and the availability
-//! ledger must tell the *same story* on both: the same ordered sequence
-//! of service outages, the same hand-over count, the same per-peer
-//! failure tally. Timestamps differ (one clock is virtual, one is the
-//! wall), so the comparison is structural.
+//! One outage schedule, two clocks: the coordinator is killed and
+//! restarted twice against the same [`Deployment`] on the virtual-time
+//! simulator and on OS threads, and the availability ledger must tell the
+//! *same story* on both: the same ordered sequence of service outages,
+//! the same hand-over count, the same per-peer failure tally. Timestamps
+//! differ (one clock is virtual, one is the wall), so the comparison is
+//! structural.
+//!
+//! The schedule is paced by the cluster, not by a clock: each kill and
+//! restart waits until a scope poll of the b-peers and the ledger both
+//! say the previous step has settled. A fixed horizon (this test used to
+//! replay a timed [`FaultPlan`] and sleep through it) races the wall
+//! clock on a loaded box — a re-election that takes a little longer than
+//! the sleep allowed reads as a different story.
 //!
 //! [`Deployment`]: whisper::deploy::Deployment
 //! [`FaultPlan`]: whisper_simnet::FaultPlan
 
-use whisper::deploy::Booted;
+use whisper::deploy::Topology;
 use whisper::WhisperMsg;
+use whisper_bench::cluster::SubstrateProbe;
 use whisper_bench::experiments::substrate_matrix::{self, MatrixTuning};
-use whisper_simnet::{FaultPlan, SimTime, Substrate};
+use whisper_bench::TcpCluster;
+use whisper_obs::AvailabilityLedger;
+use whisper_simnet::threadnet::ThreadNetBuilder;
+use whisper_simnet::{NodeId, SimDuration, SimNet, Substrate, SwitchedLan};
 
-/// The schedule: kill the Bully winner after warmup, restart it, let it
-/// bully its way back, then kill and restart it again. Two full outage /
-/// recovery cycles — enough for ordering to matter.
-fn two_outage_plan(booted: &Booted<impl Substrate<WhisperMsg>>, t: &MatrixTuning) -> FaultPlan {
-    let victim = *booted.topology.group_nodes[0]
-        .last()
-        .expect("the group has b-peers");
-    let kill1 = SimTime::ZERO + t.warmup;
-    let restart1 = kill1 + t.outage;
-    let kill2 = restart1 + t.settle; // the victim has re-claimed the group by now
-    let restart2 = kill2 + t.outage;
-    let mut plan = FaultPlan::new();
-    plan.crash_at(victim, kill1)
-        .restart_at(victim, restart1)
-        .crash_at(victim, kill2)
-        .restart_at(victim, restart2);
-    plan
-}
+/// Far beyond any healthy election (sub-second with the matrix tuning);
+/// only a cluster that never settles waits this long.
+const SETTLE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 
-/// Replays the plan and flattens what the ledger recorded into an ordered,
-/// timestamp-free event trace.
-fn outage_trace<N: Substrate<WhisperMsg>>(booted: &mut Booted<N>, t: &MatrixTuning) -> Vec<String> {
-    let plan = two_outage_plan(booted, t);
-    booted.net.execute_plan(&plan);
-    // Horizon: both cycles plus a settle tail for the final recovery.
-    booted
-        .net
-        .advance(t.warmup + t.outage + t.settle + t.outage + t.settle);
+/// Kills the Bully winner, lets the survivors elect, restarts it, lets it
+/// bully its way back — twice, enough for ordering to matter — and
+/// flattens what the ledger recorded into an ordered, timestamp-free
+/// event trace.
+fn outage_trace<N: Substrate<WhisperMsg>>(
+    net: &mut N,
+    topology: &Topology,
+    ledger: &AvailabilityLedger,
+    probe: &SubstrateProbe,
+) -> Vec<String> {
+    let group = &topology.group_nodes[0];
+    let (&victim, survivors) = group.split_last().expect("the group has b-peers");
+    let boss = topology.peer_of(victim).value();
+    let service = topology.group_ids[0].value();
 
-    let now = booted.net.now();
-    let ledger = booted.ledger.as_ref().expect("ledger wired");
+    // Settled: every polled b-peer names one coordinator, it is (or is
+    // not) the victim, and the ledger has booked the same view.
+    let settle = |net: &mut N, nodes: &[NodeId], boss_rules: bool| {
+        let settled = probe.settle(net, nodes, SETTLE_TIMEOUT, |snaps| {
+            let agreed = TcpCluster::agreed_coordinator(snaps);
+            agreed.is_some_and(|c| (c == boss) == boss_rules)
+        });
+        assert!(
+            settled,
+            "the b-peers never agreed (boss rules: {boss_rules})"
+        );
+        let booked = |now| {
+            let service_ok = ledger
+                .service_report(service, now)
+                .is_some_and(|r| r.up && r.coordinator.is_some_and(|c| (c == boss) == boss_rules));
+            let peer_ok = ledger
+                .peer_report(boss, now)
+                .is_some_and(|r| r.up == boss_rules);
+            service_ok && peer_ok
+        };
+        let deadline = net.now() + SETTLE_TIMEOUT;
+        while !booked(net.now()) {
+            assert!(net.now() < deadline, "the ledger never caught up");
+            net.advance(SimDuration::from_millis(20));
+        }
+    };
+
+    settle(net, group, true);
+    for _ in 0..2 {
+        net.kill_node(victim);
+        settle(net, survivors, false);
+        net.restart_node(victim);
+        settle(net, group, true);
+    }
+
+    let now = net.now();
     let mut trace = Vec::new();
     for service in ledger.services() {
         let r = ledger
@@ -76,15 +111,21 @@ fn outage_trace<N: Substrate<WhisperMsg>>(booted: &mut Booted<N>, t: &MatrixTuni
 
 #[test]
 fn same_plan_same_outage_story_on_sim_and_threadnet() {
-    let t = MatrixTuning::default();
-    let dep = substrate_matrix::deployment(&t);
+    let dep = substrate_matrix::deployment(&MatrixTuning::default());
 
-    let mut sim = dep.boot_sim(5).expect("well-formed scenario");
-    let sim_trace = outage_trace(&mut sim, &t);
+    let mut sim: SimNet<WhisperMsg> = SimNet::with_link(5, SwitchedLan::paper_testbed());
+    let (topology, ledger) = dep.wire_onto(&mut sim).expect("well-formed scenario");
+    let probe = SubstrateProbe::add_to(&mut sim);
+    let ledger = ledger.expect("ledger wired");
+    let sim_trace = outage_trace(&mut sim, &topology, &ledger, &probe);
 
-    let mut live = dep.boot_threadnet().expect("well-formed scenario");
-    let live_trace = outage_trace(&mut live, &t);
-    live.net.shutdown();
+    let mut builder = ThreadNetBuilder::new();
+    let (topology, ledger) = dep.wire_onto(&mut builder).expect("well-formed scenario");
+    let probe = SubstrateProbe::add_to(&mut builder);
+    let ledger = ledger.expect("ledger wired");
+    let mut live = builder.start();
+    let live_trace = outage_trace(&mut live, &topology, &ledger, &probe);
+    live.shutdown();
 
     // Both clocks must report two closed outages, the victim back in
     // charge, and the victim as the only peer that ever failed.

@@ -1,5 +1,6 @@
 //! Workload clients: the B2B applications invoking the Web service.
 
+use crate::deadline::DeadlineQueue;
 use crate::msg::WhisperMsg;
 use crate::trace;
 use whisper_obs::Recorder;
@@ -134,19 +135,19 @@ impl ClientStats {
 }
 
 const TOKEN_SEND: u64 = 1;
+/// The sweep timer of the request-timeout queue.
+const TOKEN_TIMEOUT: u64 = 2;
 const TOKEN_THINK: u64 = 3;
-const PURPOSE_REQ_TIMEOUT: u64 = 2;
-
-fn req_token(id: u64) -> u64 {
-    (id << 2) | PURPOSE_REQ_TIMEOUT
-}
 
 /// A client application node.
 pub struct ClientActor {
     config: ClientConfig,
     next_id: u64,
     payload_cursor: usize,
+    /// Indexed by request id (ids are handed out in push order).
     outcomes: Vec<RequestOutcome>,
+    /// Client-side `timeout` deadlines of the requests sent so far.
+    timeouts: DeadlineQueue,
     stats: ClientStats,
     last_response: Option<String>,
     obs: Option<Recorder>,
@@ -157,6 +158,7 @@ impl ClientActor {
     /// Creates a client.
     pub fn new(config: ClientConfig) -> Self {
         ClientActor {
+            timeouts: DeadlineQueue::new(config.timeout, TOKEN_TIMEOUT),
             config,
             next_id: 0,
             payload_cursor: 0,
@@ -251,7 +253,7 @@ impl ClientActor {
                 envelope,
             },
         );
-        ctx.set_timer(self.config.timeout, req_token(id));
+        self.timeouts.push(ctx, id, 0);
         if let Workload::Open { .. } = self.config.workload {
             let next = self.interval(ctx);
             ctx.set_timer(next, TOKEN_SEND);
@@ -297,6 +299,26 @@ impl ClientActor {
             }
         }
     }
+
+    /// The client-side timeout of unanswered request `id` came due.
+    fn time_out(&mut self, ctx: &mut Context<'_, WhisperMsg>, id: u64) {
+        self.outcomes[id as usize].timed_out = true;
+        self.stats.timeouts += 1;
+        if let (Some(rec), Some(me)) = (&self.obs, self.my_id) {
+            let key = trace::soap_key(me, id);
+            if let Some(req) = rec.lookup(trace::NS_SOAP, key) {
+                rec.end_named(req, "client.request", ctx.now());
+                rec.unbind(trace::NS_SOAP, key);
+            }
+            rec.incr("client.timeouts", 1);
+        }
+        // keep a closed loop alive after a loss
+        if let Workload::Closed { .. } = self.config.workload {
+            if self.quota_left() {
+                ctx.set_timer(SimDuration::ZERO, TOKEN_THINK);
+            }
+        }
+    }
 }
 
 impl Actor<WhisperMsg> for ClientActor {
@@ -337,31 +359,26 @@ impl Actor<WhisperMsg> for ClientActor {
                 }
             }
             TOKEN_THINK => self.send_next(ctx),
-            t if t & 0b11 == PURPOSE_REQ_TIMEOUT => {
-                let id = t >> 2;
-                if let Some(o) = self.outcomes.iter_mut().find(|o| o.id == id) {
-                    if o.completed_at.is_none() && !o.timed_out {
-                        o.timed_out = true;
-                        self.stats.timeouts += 1;
-                        if let (Some(rec), Some(me)) = (&self.obs, self.my_id) {
-                            let key = trace::soap_key(me, id);
-                            if let Some(req) = rec.lookup(trace::NS_SOAP, key) {
-                                rec.end_named(req, "client.request", ctx.now());
-                                rec.unbind(trace::NS_SOAP, key);
-                            }
-                            rec.incr("client.timeouts", 1);
-                        }
-                        // keep a closed loop alive after a loss
-                        if let Workload::Closed { .. } = self.config.workload {
-                            if self.quota_left() {
-                                ctx.set_timer(SimDuration::ZERO, TOKEN_THINK);
-                            }
-                        }
-                    }
-                }
-            }
+            TOKEN_TIMEOUT => loop {
+                let outcomes = &self.outcomes;
+                let due = self.timeouts.next_due(ctx, |id, _| {
+                    outcomes
+                        .get(id as usize)
+                        .is_some_and(|o| o.completed_at.is_none() && !o.timed_out)
+                });
+                let Some((id, _)) = due else {
+                    break;
+                };
+                self.time_out(ctx, id);
+            },
             _ => {}
         }
+    }
+
+    /// A crash clears the node's timers; the requests in flight at the
+    /// crash still get their timeouts.
+    fn on_restart(&mut self, ctx: &mut Context<'_, WhisperMsg>) {
+        self.timeouts.arm(ctx);
     }
 }
 
@@ -437,12 +454,5 @@ mod tests {
         let _ = c.register_manual(SimTime::ZERO);
         assert_eq!(c.stats().availability(), None);
         assert_eq!(c.stats().in_flight(), 1);
-    }
-
-    #[test]
-    fn req_token_round_trip() {
-        let t = req_token(41);
-        assert_eq!(t & 0b11, PURPOSE_REQ_TIMEOUT);
-        assert_eq!(t >> 2, 41);
     }
 }

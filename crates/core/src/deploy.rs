@@ -704,15 +704,31 @@ impl Deployment {
         Ok((wiring, ledger))
     }
 
+    /// Places one boot's worth of the scenario (fresh backends, fresh
+    /// ledger) onto `spawner` without starting it — what the `boot_*`
+    /// methods do before they start the transport, for harnesses that add
+    /// measuring nodes of their own (a scope probe, a load generator)
+    /// behind the scenario's.
+    ///
+    /// # Errors
+    ///
+    /// See [`ScenarioWiring::wire`].
+    pub fn wire_onto<S: Spawner<WhisperMsg>>(
+        &self,
+        spawner: &mut S,
+    ) -> Result<(Topology, Option<AvailabilityLedger>), WhisperError> {
+        let (wiring, ledger) = self.wiring()?;
+        Ok((wiring.wire(spawner)?, ledger))
+    }
+
     /// Boots on the deterministic simulator (paper-testbed link model).
     ///
     /// # Errors
     ///
     /// See [`ScenarioWiring::wire`].
     pub fn boot_sim(&self, seed: u64) -> Result<Booted<SimNet<WhisperMsg>>, WhisperError> {
-        let (wiring, ledger) = self.wiring()?;
         let mut net: SimNet<WhisperMsg> = SimNet::with_link(seed, SwitchedLan::paper_testbed());
-        let topology = wiring.wire(&mut net)?;
+        let (topology, ledger) = self.wire_onto(&mut net)?;
         let flight = topology.flight.clone();
         Ok(Booted {
             net,
@@ -728,9 +744,8 @@ impl Deployment {
     ///
     /// See [`ScenarioWiring::wire`].
     pub fn boot_threadnet(&self) -> Result<Booted<ThreadNet<WhisperMsg>>, WhisperError> {
-        let (wiring, ledger) = self.wiring()?;
         let mut builder = ThreadNetBuilder::new();
-        let topology = wiring.wire(&mut builder)?;
+        let (topology, ledger) = self.wire_onto(&mut builder)?;
         let flight = topology.flight.clone();
         Ok(Booted {
             net: builder.start(),
@@ -748,9 +763,8 @@ impl Deployment {
     /// See [`ScenarioWiring::wire`]; additionally [`WhisperError::Io`] for
     /// socket errors while opening the loopback mesh.
     pub fn boot_tcp(&self) -> Result<Booted<TcpNet<WhisperMsg>>, WhisperError> {
-        let (wiring, ledger) = self.wiring()?;
         let mut builder = TcpNetBuilder::new();
-        let topology = wiring.wire(&mut builder)?;
+        let (topology, ledger) = self.wire_onto(&mut builder)?;
         let flight = topology.flight.clone();
         Ok(Booted {
             net: builder.start()?,

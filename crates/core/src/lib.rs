@@ -56,6 +56,7 @@ mod backend;
 mod bpeer;
 mod client;
 pub mod composition;
+mod deadline;
 pub mod deploy;
 mod directory;
 mod error;
@@ -81,6 +82,6 @@ pub use directory::Directory;
 pub use error::WhisperError;
 pub use harness::{ClientConfigTemplate, DeploymentConfig, GroupSpec, WhisperNet};
 pub use msg::WhisperMsg;
-pub use proxy::{ProxyConfig, ProxyStats, SwsProxyActor};
+pub use proxy::{ProxyBacklog, ProxyConfig, ProxyStats, SwsProxyActor};
 pub use pulse::{PulseCollectorActor, PulseConfig, SharedPulseStore};
 pub use qos::{PeerHealth, QosMonitor, SelectionPolicy};

@@ -19,6 +19,7 @@
 //! 5. relay the response (or a `<soap:fault>` after exhausting attempts)
 //!    back to the client.
 
+use crate::deadline::DeadlineQueue;
 use crate::directory::Directory;
 use crate::matchmaker;
 use crate::msg::WhisperMsg;
@@ -37,7 +38,7 @@ use whisper_p2p::{
     QueryId, SemanticAdv,
 };
 use whisper_simnet::{Actor, Context, Histogram, Metrics, NodeId, SimDuration, SimTime, Wire};
-use whisper_soap::{Envelope, Fault, FaultCode};
+use whisper_soap::{BodyKind, Envelope, Fault, FaultCode};
 use whisper_wsdl::{OperationSemantics, ServiceDescription};
 
 /// Tuning knobs of an SWS-proxy.
@@ -137,6 +138,21 @@ pub struct ProxyStats {
     pub deadline_faults: u64,
 }
 
+/// Sizes of the proxy's per-request bookkeeping, for leak checks: all
+/// zero once every accepted request was answered and one
+/// `request_timeout` has passed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProxyBacklog {
+    /// Requests accepted and not yet answered.
+    pub pending: usize,
+    /// Discovery queries still mapped to a request.
+    pub queries: usize,
+    /// Client request ids pinned against duplicate execution.
+    pub inflight_clients: usize,
+    /// Timeout deadlines not yet swept (finished attempts included).
+    pub deadlines: usize,
+}
+
 /// The peer a group is currently bound to, plus how to address it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Binding {
@@ -229,7 +245,10 @@ struct Pending {
     obs_req: Option<RequestId>,
 }
 
-/// Purpose bits of proxy timer tokens.
+/// Purpose bits of proxy timer tokens. `PURPOSE_TIMEOUT` is the one
+/// sweep timer of the request-timeout queue (request and attempt bits
+/// zero: the queue, not the token, says whose deadline came); the other
+/// three are armed per use.
 const PURPOSE_PULSE: u64 = 0;
 const PURPOSE_TIMEOUT: u64 = 1;
 const PURPOSE_BACKOFF: u64 = 2;
@@ -281,6 +300,9 @@ pub struct SwsProxyActor {
     semantics: HashMap<String, OperationSemantics>,
     bindings: HashMap<GroupId, Binding>,
     pending: HashMap<u64, Pending>,
+    /// `request_timeout` deadlines of every forward and discovery query,
+    /// in arm order, keyed by (request id, attempt).
+    timeouts: DeadlineQueue,
     queries: HashMap<QueryId, u64>,
     next_request: u64,
     config: ProxyConfig,
@@ -354,6 +376,7 @@ impl SwsProxyActor {
             semantics,
             bindings: HashMap::new(),
             pending: HashMap::new(),
+            timeouts: DeadlineQueue::new(config.request_timeout, token(0, 0, PURPOSE_TIMEOUT)),
             queries: HashMap::new(),
             next_request: 0,
             config,
@@ -434,6 +457,16 @@ impl SwsProxyActor {
     /// Counters for experiments.
     pub fn stats(&self) -> ProxyStats {
         self.stats
+    }
+
+    /// How much per-request state the proxy is holding right now.
+    pub fn backlog(&self) -> ProxyBacklog {
+        ProxyBacklog {
+            pending: self.pending.len(),
+            queries: self.queries.len(),
+            inflight_clients: self.inflight_clients.len(),
+            deadlines: self.timeouts.len(),
+        }
     }
 
     /// The observed-QoS measurements backing [`SelectionPolicy::Adaptive`].
@@ -523,6 +556,17 @@ impl SwsProxyActor {
             "request deadline exceeded".to_string(),
         );
         true
+    }
+
+    /// Drops the discovery query a request was still waiting on when it
+    /// was answered or moved on, so `queries` cannot outgrow `pending`
+    /// (a late response to it is ignored either way).
+    fn forget_query(&mut self, request_id: u64, state: &PendingState) {
+        if let PendingState::AwaitGroups(q) | PendingState::AwaitMembers(q, _) = *state {
+            if self.queries.get(&q) == Some(&request_id) {
+                self.queries.remove(&q);
+            }
+        }
     }
 
     /// Completes a client request: retires its in-flight dedup entry and
@@ -674,6 +718,7 @@ impl SwsProxyActor {
         let Some(p) = self.pending.remove(&request_id) else {
             return;
         };
+        self.forget_query(request_id, &p.state);
         if let Some(g) = p.group {
             let measured_from = p.forwarded_at.unwrap_or(p.started_at);
             self.monitor
@@ -899,11 +944,7 @@ impl SwsProxyActor {
         if let Some(p) = self.pending.get_mut(&request_id) {
             p.attempts += 1;
             p.state = PendingState::AwaitGroups(qid);
-            let attempts = p.attempts;
-            ctx.set_timer(
-                self.config.request_timeout,
-                token(request_id, attempts, PURPOSE_TIMEOUT),
-            );
+            self.timeouts.push(ctx, request_id, p.attempts);
         }
     }
 
@@ -983,11 +1024,7 @@ impl SwsProxyActor {
         if let Some(p) = self.pending.get_mut(&request_id) {
             p.attempts += 1;
             p.state = PendingState::AwaitMembers(qid, group);
-            let attempts = p.attempts;
-            ctx.set_timer(
-                self.config.request_timeout,
-                token(request_id, attempts, PURPOSE_TIMEOUT),
-            );
+            self.timeouts.push(ctx, request_id, p.attempts);
         }
     }
 
@@ -1063,10 +1100,7 @@ impl SwsProxyActor {
                 envelope,
             },
         );
-        ctx.set_timer(
-            self.config.request_timeout,
-            token(request_id, attempts, PURPOSE_TIMEOUT),
-        );
+        self.timeouts.push(ctx, request_id, attempts);
     }
 
     fn handle_discovery_results(
@@ -1212,13 +1246,14 @@ impl SwsProxyActor {
                     "no semantic peer group matches the request".to_string(),
                 );
             }
-            PendingState::AwaitMembers(_, group) => {
+            PendingState::AwaitMembers(query, group) => {
                 // No untried member answered: every member of this group is
                 // dead as far as this request is concerned. Exclude the
                 // group and search for an alternative.
                 if let Some((rec, req)) = self.obs_of(request_id) {
                     rec.end_named(req, "proxy.members", ctx.now());
                 }
+                self.queries.remove(&query);
                 if let Some(p) = self.pending.get_mut(&request_id) {
                     p.failed_groups.push(group);
                 }
@@ -1348,6 +1383,7 @@ impl Actor<WhisperMsg> for SwsProxyActor {
                 envelope,
             } => {
                 if let Some(p) = self.pending.remove(&request_id) {
+                    self.forget_query(request_id, &p.state);
                     self.stats.responses_forwarded += 1;
                     // Per-peer latency evidence: attribute the response to
                     // the peer it was forwarded to, so a fail-slow member
@@ -1359,8 +1395,8 @@ impl Actor<WhisperMsg> for SwsProxyActor {
                         self.maybe_trip_fail_slow(ctx.now(), peer);
                     }
                     if let Some(g) = p.group {
-                        let fault = Envelope::parse(&envelope)
-                            .map(|e| e.is_fault())
+                        let fault = Envelope::peek_body(&envelope)
+                            .map(|body| body == BodyKind::Fault)
                             .unwrap_or(true);
                         let measured_from = p.forwarded_at.unwrap_or(p.started_at);
                         self.monitor
@@ -1449,11 +1485,44 @@ impl Actor<WhisperMsg> for SwsProxyActor {
         }
     }
 
+    /// A crash clears the node's timers but the proxy keeps its state, so
+    /// every timer that state still counts on is armed again: the sweep
+    /// for the surviving deadline queue (requests pending at the crash
+    /// time out, re-bind or fault, and drain — overdue ones at once), the
+    /// backoff of requests that were waiting out an election, and the
+    /// pulse interval.
+    fn on_restart(&mut self, ctx: &mut Context<'_, WhisperMsg>) {
+        self.timeouts.arm(ctx);
+        let mut backing_off: Vec<(u64, u32)> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| matches!(p.state, PendingState::Backoff(_)))
+            .map(|(&id, p)| (id, p.attempts))
+            .collect();
+        backing_off.sort_unstable(); // map order must not leak into timer order
+        for (request_id, attempts) in backing_off {
+            ctx.set_timer(
+                self.config.retry_backoff,
+                token(request_id, attempts, PURPOSE_BACKOFF),
+            );
+        }
+        self.on_start(ctx);
+    }
+
     fn on_timer(&mut self, ctx: &mut Context<'_, WhisperMsg>, t: u64) {
-        let (request_id, attempt, purpose) = untoken(t);
+        let (request_id, _, purpose) = untoken(t);
         match purpose {
             PURPOSE_PULSE => self.emit_pulse(ctx),
-            PURPOSE_TIMEOUT => self.handle_timeout(ctx, request_id, attempt),
+            PURPOSE_TIMEOUT => loop {
+                let pending = &self.pending;
+                let due = self.timeouts.next_due(ctx, |id, attempt| {
+                    pending.get(&id).is_some_and(|p| p.attempts == attempt)
+                });
+                let Some((request_id, attempt)) = due else {
+                    break;
+                };
+                self.handle_timeout(ctx, request_id, attempt);
+            },
             PURPOSE_BACKOFF => self.handle_backoff_fired(ctx, request_id),
             PURPOSE_GATHER => self.handle_gather_fired(ctx, request_id),
             _ => {}

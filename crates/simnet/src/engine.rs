@@ -577,6 +577,25 @@ impl<M: Wire> SimNet<M> {
         self.queue.push(self.clock, EventKind::Fault(action));
     }
 
+    /// Tokens of the timers `node` has armed that will still fire: not
+    /// cancelled, and not cleared by a crash since. Lets a test hold an
+    /// actor to "at most one timer of this kind at any moment".
+    pub fn pending_timers(&self, node: NodeId) -> Vec<u64> {
+        let epoch = self.nodes[node.index()].epoch;
+        self.queue
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::Timer {
+                    node: n,
+                    id,
+                    token,
+                    epoch: e,
+                } if n == node && e == epoch && !self.cancelled.contains(&id) => Some(token),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Delivers a message into the network "from outside" (used by test
     /// drivers); it is subject to the link model like any other message.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {

@@ -108,6 +108,11 @@ impl<M> EventQueue<M> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
+
+    /// The pending events, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &Event<M>> {
+        self.heap.iter()
+    }
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,6 +66,10 @@ struct Link {
 /// telemetry is shed and protocol traffic waits for the writer
 /// (backpressure), so a stalled socket bounds memory per link.
 const LINK_QUEUE_CAP: usize = 64;
+
+/// Read buffer per link socket: a 16 KiB envelope with its frame prefix,
+/// or a whole burst of small frames, fits in one `read`.
+const READ_BUF_BYTES: usize = 64 * 1024;
 
 /// One ordered link's live socket state: the writer half used by the
 /// sender, and a clone of the current reader socket kept so a kill can
@@ -748,7 +752,13 @@ impl<M: Wire + Encode + Decode> TcpNetBuilder<M> {
                 // Each received socket is read to EOF/error, then the
                 // thread parks waiting for a replacement (node restart);
                 // a disconnected control channel ends the thread.
-                while let Ok(mut stream) = ctrl_rx.recv() {
+                while let Ok(stream) = ctrl_rx.recv() {
+                    // One read buffer per socket, so a frame costs at most
+                    // one `read` (not one for the prefix and one for the
+                    // payload) and a burst one for all of it. Bytes of a
+                    // killed socket's unfinished frame die with its buffer:
+                    // the replacement starts on a frame boundary.
+                    let mut stream = BufReader::with_capacity(READ_BUF_BYTES, stream);
                     while let Ok(true) = read_frame_into(&mut stream, &mut payload) {
                         // A frame is the message encoding plus an optional
                         // trailing Lamport varint; frames from before the
@@ -1518,6 +1528,85 @@ mod tests {
         wait_until("restarted node never heard socket traffic", || {
             bb.load(Ordering::SeqCst) > before
         });
+        net.shutdown();
+    }
+
+    /// Node 1 of a two-node net keeps every ping it hears.
+    struct Keep(Arc<Mutex<Vec<u32>>>);
+    impl Actor<M> for Keep {
+        fn on_message(&mut self, _: &mut Context<'_, M>, _: NodeId, msg: M) {
+            let M::Ping(n) = msg;
+            self.0.lock().push(n);
+        }
+    }
+
+    fn keeper_net() -> (TcpNet<M>, Arc<Mutex<Vec<u32>>>) {
+        let kept = Arc::new(Mutex::new(Vec::new()));
+        let mut b = TcpNetBuilder::new();
+        b.add_node(Keep(Arc::new(Mutex::new(Vec::new()))));
+        b.add_node(Keep(kept.clone()));
+        (b.start().unwrap(), kept)
+    }
+
+    /// The frames of `pings`, back to back, as they travel on a link.
+    fn framed(pings: std::ops::Range<u32>) -> Vec<u8> {
+        let payloads: Vec<Vec<u8>> = pings.map(|n| M::Ping(n).encode()).collect();
+        let slices: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let mut bytes = Vec::new();
+        write_frames_vectored(&mut bytes, &slices).unwrap();
+        bytes
+    }
+
+    /// Writes raw bytes on the 0 → 1 link's current socket.
+    fn write_raw(net: &TcpNet<M>, chunks: impl Iterator<Item = Vec<u8>>) {
+        use std::io::Write;
+        let mut slot = net.ctl.links.slot(0, 1).writer.lock();
+        let stream = &mut slot.as_mut().expect("link is up").stream;
+        for chunk in chunks {
+            stream.write_all(&chunk).unwrap();
+        }
+    }
+
+    #[test]
+    fn link_reader_frames_dripped_and_coalesced_bytes_alike() {
+        let (net, kept) = keeper_net();
+        // eight frames in one segment, then eight more a byte at a time
+        // (nodelay: a segment each, give or take the kernel's coalescing)
+        write_raw(&net, std::iter::once(framed(0..8)));
+        write_raw(&net, framed(8..16).into_iter().map(|b| vec![b]));
+        let k = kept.clone();
+        wait_until("frames went missing in the buffered reader", || {
+            k.lock().len() >= 16
+        });
+        assert_eq!(*kept.lock(), (0..16).collect::<Vec<u32>>());
+        assert_eq!(net.metrics_snapshot().decode_errors, 0);
+        net.shutdown();
+    }
+
+    #[test]
+    fn restart_drops_what_the_old_socket_left_in_the_read_buffer() {
+        let (net, kept) = keeper_net();
+        // One whole frame and the first half of a second, in one segment:
+        // the reader delivers the first and holds the half in its buffer.
+        let mut bytes = framed(1..2);
+        let second = framed(2_000_000..2_000_001);
+        bytes.extend_from_slice(&second[..second.len() / 2]);
+        write_raw(&net, std::iter::once(bytes));
+        let k = kept.clone();
+        wait_until("the whole frame never arrived", || k.lock().len() == 1);
+
+        let node = NodeId::from_index(1);
+        net.kill_node(node);
+        net.restart_node(node);
+        // The new socket starts on a frame boundary: a held-over half
+        // frame would swallow this one or choke the decoder on it.
+        write_raw(&net, std::iter::once(framed(3..4)));
+        let k = kept.clone();
+        wait_until("the frame on the new socket was misframed", || {
+            k.lock().len() == 2
+        });
+        assert_eq!(*kept.lock(), [1, 3]);
+        assert_eq!(net.metrics_snapshot().decode_errors, 0);
         net.shutdown();
     }
 

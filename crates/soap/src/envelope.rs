@@ -2,7 +2,8 @@
 
 use crate::fault::Fault;
 use crate::{SoapError, SOAP_ENVELOPE_NS};
-use whisper_xml::{parse, Element};
+use std::ops::ControlFlow;
+use whisper_xml::{parse, scan_start_tags, Element, QName};
 
 /// A header block: an application element plus SOAP processing attributes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +73,17 @@ enum Body {
     Payload(Element),
     Fault(Fault),
     Empty,
+}
+
+/// What an envelope's body holds, as far as [`Envelope::peek_body`] looks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BodyKind<'a> {
+    /// No child element.
+    Empty,
+    /// A `<soap:Fault>`.
+    Fault,
+    /// An application payload with this local name.
+    Payload(&'a str),
 }
 
 impl Envelope {
@@ -203,6 +215,53 @@ impl Envelope {
     pub fn parse(text: &str) -> Result<Self, SoapError> {
         let root = parse(text)?;
         Self::from_element(&root)
+    }
+
+    /// What the body of the envelope in `text` holds, without building
+    /// the envelope: for a relay that forwards the text as it is and only
+    /// needs to know whether it carries a fault. The XML parser is walked
+    /// through the start tags up to the first child of `Body` and no
+    /// further, so [`Envelope::parse`] is still the check for text from
+    /// outside the deployment.
+    ///
+    /// # Errors
+    ///
+    /// What [`Envelope::parse`] returns for a defect before the `Body`
+    /// child — [`SoapError::Xml`], [`SoapError::NotAnEnvelope`],
+    /// [`SoapError::MissingBody`]; later ones go unseen.
+    pub fn peek_body(text: &str) -> Result<BodyKind<'_>, SoapError> {
+        let mut in_body = false;
+        let mut found = None;
+        scan_start_tags(text, |depth, tag| {
+            let soap = |name| tag.ns() == Some(SOAP_ENVELOPE_NS) && tag.name() == name;
+            found = match depth {
+                0 if !soap("Envelope") => {
+                    let name = match tag.ns() {
+                        Some(ns) => QName::with_ns(ns, tag.name()),
+                        None => QName::new(tag.name()),
+                    };
+                    Some(Err(SoapError::NotAnEnvelope(name.to_clark())))
+                }
+                // a sibling after Body: the body had no child element
+                1 if in_body => Some(Ok(BodyKind::Empty)),
+                1 if soap("Body") => {
+                    in_body = true;
+                    None
+                }
+                2 if in_body && soap("Fault") => Some(Ok(BodyKind::Fault)),
+                2 if in_body => Some(Ok(BodyKind::Payload(tag.name()))),
+                _ => None,
+            };
+            match found {
+                Some(_) => ControlFlow::Break(()),
+                None => ControlFlow::Continue(()),
+            }
+        })?;
+        match found {
+            Some(kind) => kind,
+            None if in_body => Ok(BodyKind::Empty),
+            None => Err(SoapError::MissingBody),
+        }
     }
 
     /// Interprets an already-parsed element tree as an envelope.

@@ -33,7 +33,7 @@ mod envelope;
 mod error;
 mod fault;
 
-pub use envelope::{Envelope, HeaderBlock, ROLE_NEXT};
+pub use envelope::{BodyKind, Envelope, HeaderBlock, ROLE_NEXT};
 pub use error::SoapError;
 pub use fault::{Fault, FaultCode};
 

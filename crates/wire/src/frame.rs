@@ -295,6 +295,53 @@ mod tests {
         }
     }
 
+    /// ...and hands them back one per call, exercising a reader's
+    /// partial-read handling the same way.
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if buf.is_empty() || self.0.is_empty() {
+                return Ok(0);
+            }
+            buf[0] = self.0.remove(0);
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn buffered_reader_decodes_dripped_and_coalesced_streams_alike() {
+        // Eight frames in one segment, as a batched flush leaves them: a
+        // reader behind a `BufReader` (the TCP transport's) must frame
+        // them exactly like an unbuffered one, whether the bytes come all
+        // at once or one per `read`.
+        let payloads: Vec<Vec<u8>> = (0..8usize).map(|i| vec![i as u8; i * i * 37]).collect();
+        let slices: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let mut stream = Vec::new();
+        write_frames_vectored(&mut stream, &slices).unwrap();
+
+        fn frames(mut r: impl Read) -> Vec<Vec<u8>> {
+            let mut out = Vec::new();
+            let mut buf = Vec::new();
+            while read_frame_into(&mut r, &mut buf).unwrap() {
+                out.push(buf.clone());
+            }
+            out
+        }
+        assert_eq!(frames(Cursor::new(stream.clone())), payloads);
+        assert_eq!(
+            frames(io::BufReader::new(Cursor::new(stream.clone()))),
+            payloads
+        );
+        assert_eq!(
+            frames(io::BufReader::new(Trickle(stream.clone()))),
+            payloads
+        );
+        // a buffer smaller than a frame, and than the prefix
+        assert_eq!(
+            frames(io::BufReader::with_capacity(3, Trickle(stream))),
+            payloads
+        );
+    }
+
     #[test]
     fn vectored_write_survives_partial_writes() {
         let mut t = Trickle(Vec::new());

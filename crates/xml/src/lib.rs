@@ -12,6 +12,8 @@
 //!   (elements, attributes, namespaces, character data, CDATA, comments,
 //!   processing instructions and the five predefined entities plus numeric
 //!   character references),
+//! * [`scan_start_tags`], the same parser walked for its start tags only —
+//!   for callers that need an element's name, not its tree,
 //! * a serializer ([`Element::to_xml`], [`Element::to_pretty_xml`]) that
 //!   round-trips everything the parser accepts,
 //! * ergonomic construction and navigation helpers.
@@ -53,7 +55,7 @@ pub use error::XmlError;
 pub use escape::{escape_attr, escape_text, unescape};
 pub use intern::{intern, IStr};
 pub use name::QName;
-pub use parser::{parse, parse_document};
+pub use parser::{parse, parse_document, scan_start_tags, StartTag};
 
 /// The XML namespace URI reserved for the `xml:` prefix.
 pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";

@@ -3,9 +3,10 @@
 use crate::document::{Attribute, Document, Element, Node};
 use crate::error::{ErrorKind, XmlError};
 use crate::escape::resolve_entity;
-use crate::intern::intern;
+use crate::intern::{intern, IStr};
 use crate::name::{is_valid_ncname, split_prefixed};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Parses a document and returns its root element.
 ///
@@ -28,23 +29,64 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
 /// subset (see the crate docs), including undeclared namespace prefixes.
 pub fn parse_document(input: &str) -> Result<Document, XmlError> {
     let mut p = Parser::new(input);
-    p.skip_bom();
-    let (version, encoding) = p.parse_decl()?;
-    p.skip_misc()?;
-    if p.eof() {
-        return Err(p.err(ErrorKind::NoRootElement));
-    }
-    let scope = NsScope::root();
-    let root = p.parse_element(&scope)?;
-    p.skip_misc()?;
-    if !p.eof() {
-        return Err(p.err(ErrorKind::TrailingContent));
-    }
+    let (version, encoding) = p.parse_prolog()?;
+    let root = p.parse_element(&NsScope::root())?;
+    p.parse_epilog()?;
     Ok(Document {
         version,
         encoding,
         root,
     })
+}
+
+/// Walks the start tags of `input` in document order without building a
+/// tree: `visit` sees each element's depth (root = 0) and [`StartTag`],
+/// and ends the walk early by returning [`ControlFlow::Break`].
+///
+/// It is [`parse`] minus the tree — the same names, attributes, entities
+/// and namespace scopes are checked by the same code — so everything up
+/// to the point where the walk stops is held to exactly the rules
+/// `parse` applies; what follows a `Break` is not looked at.
+///
+/// # Errors
+///
+/// The [`XmlError`] `parse` would return, when the defect lies before
+/// the point where the walk stopped.
+pub fn scan_start_tags<'a>(
+    input: &'a str,
+    mut visit: impl FnMut(usize, &StartTag<'a>) -> ControlFlow<()>,
+) -> Result<(), XmlError> {
+    let mut p = Parser::new(input);
+    p.parse_prolog()?;
+    if p.walk_element(&NsScope::root(), 0, &mut visit)?
+        .is_continue()
+    {
+        p.parse_epilog()?;
+    }
+    Ok(())
+}
+
+/// An element's start tag: its name and resolved namespace.
+pub struct StartTag<'a> {
+    /// The name as written, prefix included (what the end tag must repeat).
+    raw: &'a str,
+    prefix: Option<&'a str>,
+    local: &'a str,
+    ns: Option<IStr>,
+    self_closing: bool,
+}
+
+impl<'a> StartTag<'a> {
+    /// The local name (prefix stripped).
+    pub fn name(&self) -> &'a str {
+        self.local
+    }
+
+    /// The namespace the element's prefix (or the default namespace)
+    /// resolves to.
+    pub fn ns(&self) -> Option<&str> {
+        self.ns.as_deref()
+    }
 }
 
 /// A lexical scope of namespace declarations, chained to its parent.
@@ -144,6 +186,27 @@ impl<'a> Parser<'a> {
 
     fn skip_bom(&mut self) {
         self.eat("\u{feff}");
+    }
+
+    /// Everything before the root element; returns the XML declaration's
+    /// version and encoding.
+    fn parse_prolog(&mut self) -> Result<(Option<String>, Option<String>), XmlError> {
+        self.skip_bom();
+        let decl = self.parse_decl()?;
+        self.skip_misc()?;
+        if self.eof() {
+            return Err(self.err(ErrorKind::NoRootElement));
+        }
+        Ok(decl)
+    }
+
+    /// Everything after the root element.
+    fn parse_epilog(&mut self) -> Result<(), XmlError> {
+        self.skip_misc()?;
+        if !self.eof() {
+            return Err(self.err(ErrorKind::TrailingContent));
+        }
+        Ok(())
     }
 
     fn parse_decl(&mut self) -> Result<(Option<String>, Option<String>), XmlError> {
@@ -301,13 +364,21 @@ impl<'a> Parser<'a> {
         Ok(c)
     }
 
-    fn parse_element(&mut self, parent_scope: &NsScope<'_>) -> Result<Element, XmlError> {
+    /// Parses `<name attr="v" ...>` or `.../>`: the attributes go into
+    /// `attrs`, the namespace declarations among them into `scope` (the
+    /// element's own, fresh from [`NsScope::child`]). Both are the
+    /// caller's so the returned tag stays small: carrying the `Vec` out
+    /// inside it cost 5 % of `parse` on an element-heavy document.
+    #[inline]
+    fn parse_start_tag(
+        &mut self,
+        scope: &mut NsScope<'_>,
+        attrs: &mut Vec<Attribute>,
+    ) -> Result<StartTag<'a>, XmlError> {
         self.expect("<")?;
         let raw = self.parse_name()?;
         let (eprefix, elocal) = split_prefixed(raw);
 
-        let mut attrs: Vec<Attribute> = Vec::new();
-        let mut scope = parent_scope.child();
         let self_closing;
         loop {
             self.skip_ws();
@@ -363,7 +434,7 @@ impl<'a> Parser<'a> {
             None => scope.resolve("").map(intern),
         };
         // Resolve attribute namespaces (prefixed attributes only).
-        for a in &mut attrs {
+        for a in attrs {
             if a.is_ns_decl() {
                 a.ns = Some(intern(crate::XMLNS_NS));
             } else if let Some(p) = &a.prefix {
@@ -373,9 +444,83 @@ impl<'a> Parser<'a> {
             }
         }
 
+        Ok(StartTag {
+            raw,
+            prefix: eprefix,
+            local: elocal,
+            ns,
+            self_closing,
+        })
+    }
+
+    /// Parses the rest of an end tag, past its `</`, and checks that it
+    /// closes `raw`.
+    #[inline]
+    fn parse_end_tag(&mut self, raw: &str) -> Result<(), XmlError> {
+        self.pos += 2;
+        let end_raw = self.parse_name()?;
+        self.skip_ws();
+        self.expect(">")?;
+        if end_raw != raw {
+            return Err(self.err(ErrorKind::MismatchedTag {
+                expected: raw.to_string(),
+                found: end_raw.to_string(),
+            }));
+        }
+        Ok(())
+    }
+
+    /// [`scan_start_tags`] for one element and its content: every check
+    /// of [`Parser::parse_element`], none of its nodes kept.
+    fn walk_element(
+        &mut self,
+        parent_scope: &NsScope<'_>,
+        depth: usize,
+        visit: &mut impl FnMut(usize, &StartTag<'a>) -> ControlFlow<()>,
+    ) -> Result<ControlFlow<()>, XmlError> {
+        let mut scope = parent_scope.child();
+        let tag = self.parse_start_tag(&mut scope, &mut Vec::new())?;
+        if visit(depth, &tag).is_break() {
+            return Ok(ControlFlow::Break(()));
+        }
+        if tag.self_closing {
+            return Ok(ControlFlow::Continue(()));
+        }
+        loop {
+            if self.rest().starts_with("</") {
+                self.parse_end_tag(tag.raw)?;
+                return Ok(ControlFlow::Continue(()));
+            } else if self.rest().starts_with("<!--") {
+                self.parse_comment()?;
+            } else if self.rest().starts_with("<![CDATA[") {
+                self.parse_cdata()?;
+            } else if self.rest().starts_with("<?") {
+                self.parse_pi()?;
+            } else if self.rest().starts_with('<') {
+                if self.walk_element(&scope, depth + 1, visit)?.is_break() {
+                    return Ok(ControlFlow::Break(()));
+                }
+            } else if self.eof() {
+                return Err(self.err(ErrorKind::UnexpectedEof));
+            } else {
+                self.parse_text()?;
+            }
+        }
+    }
+
+    fn parse_element(&mut self, parent_scope: &NsScope<'_>) -> Result<Element, XmlError> {
+        let mut scope = parent_scope.child();
+        let mut attrs = Vec::new();
+        let StartTag {
+            raw,
+            prefix,
+            local,
+            ns,
+            self_closing,
+        } = self.parse_start_tag(&mut scope, &mut attrs)?;
         let mut element = Element {
-            prefix: eprefix.map(intern),
-            name: intern(elocal),
+            prefix: prefix.map(intern),
+            name: intern(local),
             ns,
             attrs,
             children: Vec::new(),
@@ -387,16 +532,7 @@ impl<'a> Parser<'a> {
         // Content until the matching end tag.
         loop {
             if self.rest().starts_with("</") {
-                self.pos += 2;
-                let end_raw = self.parse_name()?;
-                self.skip_ws();
-                self.expect(">")?;
-                if end_raw != raw {
-                    return Err(self.err(ErrorKind::MismatchedTag {
-                        expected: raw.to_string(),
-                        found: end_raw.to_string(),
-                    }));
-                }
+                self.parse_end_tag(raw)?;
                 return Ok(element);
             } else if self.rest().starts_with("<!--") {
                 let c = self.parse_comment()?;
@@ -590,6 +726,59 @@ mod tests {
     fn bom_is_skipped() {
         let e = parse("\u{feff}<a/>").unwrap();
         assert_eq!(e.name, "a");
+    }
+
+    #[test]
+    fn scan_visits_start_tags_with_depth_and_namespace() {
+        let mut seen = Vec::new();
+        scan_start_tags(
+            r#"<a xmlns="urn:d" xmlns:p="urn:p"><!-- c --><p:b k="&amp;">t<c/></p:b><d xmlns=""/></a>"#,
+            |depth, tag| {
+                seen.push((depth, tag.name(), tag.ns().map(str::to_string)));
+                ControlFlow::Continue(())
+            },
+        )
+        .unwrap();
+        let ns = |s: &str| Some(s.to_string());
+        assert_eq!(
+            seen,
+            [
+                (0, "a", ns("urn:d")),
+                (1, "b", ns("urn:p")),
+                (2, "c", ns("urn:d")),
+                (1, "d", None),
+            ]
+        );
+    }
+
+    #[test]
+    fn scan_checks_what_it_walks_and_nothing_after_a_break() {
+        let stop_at = |name: &'static str| {
+            move |_: usize, tag: &StartTag<'_>| {
+                if tag.name() == name {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            }
+        };
+        // the defect lies behind the stop: unseen
+        assert!(scan_start_tags("<a><b/><c></a>", stop_at("b")).is_ok());
+        // the defect lies before it, or there is no stop: parse's verdict
+        for bad in [
+            "<a><x:y/><b/></a>",
+            "<a><c></a><b/>",
+            "<a k='1' k='2'><b/></a>",
+        ] {
+            assert!(parse(bad).is_err());
+            assert!(scan_start_tags(bad, stop_at("b")).is_err(), "{bad}");
+        }
+        for bad in ["<a><b/></a><c/>", "<a>&nope;</a>", ""] {
+            assert_eq!(
+                scan_start_tags(bad, stop_at("never")).unwrap_err(),
+                parse(bad).unwrap_err()
+            );
+        }
     }
 
     #[test]
