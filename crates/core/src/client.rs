@@ -376,9 +376,32 @@ impl Actor<WhisperMsg> for ClientActor {
     }
 
     /// A crash clears the node's timers; the requests in flight at the
-    /// crash still get their timeouts.
+    /// crash still get their timeouts, and a workload with requests left
+    /// to send gets its send chain back.
     fn on_restart(&mut self, ctx: &mut Context<'_, WhisperMsg>) {
         self.timeouts.arm(ctx);
+        if !self.quota_left() {
+            return;
+        }
+        if self.stats.sent == 0 {
+            // down through the warmup: start over
+            return self.on_start(ctx);
+        }
+        match self.config.workload {
+            Workload::Manual => {}
+            // one `TOKEN_SEND` is always pending between two sends
+            Workload::Open { .. } => {
+                let next = self.interval(ctx);
+                ctx.set_timer(next, TOKEN_SEND);
+            }
+            // every slot of the window is a request in flight or a pending
+            // `TOKEN_THINK`; those died, the requests have their timeouts
+            Workload::Closed { think, window } => {
+                for _ in self.stats.in_flight()..u64::from(window.max(1)) {
+                    ctx.set_timer(think, TOKEN_THINK);
+                }
+            }
+        }
     }
 }
 

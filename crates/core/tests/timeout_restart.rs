@@ -2,13 +2,14 @@
 //! and the client re-arm in `on_restart` what their surviving state still
 //! counts on. Without that, a request pending at the crash never times
 //! out: its bookkeeping leaks and a client's retry rides the dead
-//! pipeline forever.
+//! pipeline forever; and a client that generates its own load never sends
+//! again.
 
 use whisper::{
     ClientConfigTemplate, DeploymentConfig, GroupSpec, ProxyBacklog, ProxyConfig, ServiceBackend,
     StudentRegistry, WhisperNet, Workload,
 };
-use whisper_simnet::SimDuration;
+use whisper_simnet::{SimDuration, SimTime};
 use whisper_xml::Element;
 
 #[test]
@@ -65,31 +66,43 @@ fn request_pending_at_a_proxy_crash_is_rebound_after_the_restart() {
     assert_eq!(net.proxy().backlog(), ProxyBacklog::default());
 }
 
-#[test]
-fn request_pending_at_a_client_crash_still_times_out() {
+/// The student group behind the proxy, and one client that sends `total`
+/// requests of its own accord (first one at 2 s).
+fn self_driving_client(
+    seed: u64,
+    workload: Workload,
+    total: u64,
+    timeout: SimDuration,
+) -> WhisperNet {
     let service = whisper_wsdl::samples::student_management();
     let op = service.operation("StudentInformation").expect("sample op");
     let backend: Box<dyn ServiceBackend> =
         Box::new(StudentRegistry::operational_db().with_sample_data());
     let mut payload = Element::new("StudentInformation");
     payload.push_child(Element::with_text("StudentID", "u1000"));
-    let timeout = SimDuration::from_secs(5);
-    let mut net = WhisperNet::build(DeploymentConfig {
-        seed: 42,
+    WhisperNet::build(DeploymentConfig {
+        seed,
         groups: vec![GroupSpec::from_operation("Group", op, vec![backend])],
         clients: vec![ClientConfigTemplate {
-            workload: Workload::Closed {
-                think: SimDuration::ZERO,
-                window: 1,
-            },
+            workload,
             payloads: vec![payload],
-            total: Some(2),
+            total: Some(total),
             timeout,
             warmup: SimDuration::from_secs(2),
         }],
         ..DeploymentConfig::default()
     })
-    .expect("well-formed");
+    .expect("well-formed")
+}
+
+#[test]
+fn request_pending_at_a_client_crash_still_times_out() {
+    let timeout = SimDuration::from_secs(5);
+    let closed = Workload::Closed {
+        think: SimDuration::ZERO,
+        window: 1,
+    };
+    let mut net = self_driving_client(42, closed, 2, timeout);
     let client = net.client_ids()[0];
     net.kill_node(net.proxy_node()); // nobody will answer
 
@@ -105,4 +118,108 @@ fn request_pending_at_a_client_crash_still_times_out() {
     assert!(outcomes[0].timed_out, "{:?}", outcomes[0]);
     // at its own deadline, which also kept the closed loop alive
     assert_eq!(outcomes[1].sent_at, outcomes[0].sent_at + timeout);
+}
+
+/// Every request the client ever sent is accounted for, each id once and
+/// none while the client was down; the proxy holds nothing back.
+fn assert_all_sent_once_and_settled(net: &WhisperNet, total: u64, down: (SimTime, SimTime)) {
+    let client = net.client_ids()[0];
+    let s = net.client_stats(client);
+    assert_eq!((s.sent, s.in_flight()), (total, 0), "{s:?}");
+    let outcomes = net.client_outcomes(client);
+    let ids: Vec<u64> = outcomes.iter().map(|o| o.id).collect();
+    assert_eq!(ids, (0..total).collect::<Vec<_>>());
+    assert!(outcomes
+        .iter()
+        .all(|o| o.sent_at < down.0 || o.sent_at >= down.1));
+    assert!(
+        outcomes.iter().any(|o| o.sent_at >= down.1),
+        "never resumed"
+    );
+    // the group saw each request once: nothing was re-sent after the crash
+    let handled: u64 = net
+        .group_nodes(0)
+        .iter()
+        .map(|&n| net.bpeer(n).requests_handled())
+        .sum();
+    assert_eq!(handled, total);
+    assert_eq!(net.proxy().backlog(), ProxyBacklog::default());
+}
+
+#[test]
+fn open_loop_client_sends_again_after_a_restart() {
+    let interval = SimDuration::from_millis(100);
+    let open = Workload::Open {
+        interval,
+        poisson: false,
+    };
+    let mut net = self_driving_client(43, open, 30, SimDuration::from_secs(5));
+    let client = net.client_ids()[0];
+
+    // ten requests out, then down for a second with the send timer armed
+    net.run_for(SimDuration::from_millis(2_950));
+    assert_eq!(net.client_stats(client).sent, 10);
+    net.kill_node(client);
+    let down_from = net.now();
+    net.run_for(SimDuration::from_secs(1));
+    assert_eq!(net.client_stats(client).sent, 10);
+    net.restart_node(client);
+    let down = (down_from, net.now());
+
+    net.run_for(SimDuration::from_secs(10));
+    assert_all_sent_once_and_settled(&net, 30, down);
+    // the chain is one timer again, not one per restart
+    let outcomes = net.client_outcomes(client);
+    assert_eq!(outcomes[10].sent_at, down.1 + interval);
+    assert_eq!(
+        outcomes[29].sent_at,
+        outcomes[10].sent_at + SimDuration::from_millis(1_900)
+    );
+}
+
+#[test]
+fn closed_loop_client_refills_its_window_after_a_restart() {
+    let think = SimDuration::from_millis(500);
+    let closed = Workload::Closed { think, window: 2 };
+    let mut net = self_driving_client(44, closed, 12, SimDuration::from_secs(5));
+    let client = net.client_ids()[0];
+
+    // both requests of the window answered (the cold bind takes 250 ms),
+    // both think timers pending
+    net.run_for(SimDuration::from_millis(2_400));
+    let s = net.client_stats(client);
+    assert_eq!((s.sent, s.completed), (2, 2), "{s:?}");
+    net.kill_node(client);
+    let down_from = net.now();
+    net.run_for(SimDuration::from_secs(1));
+    net.restart_node(client);
+    let down = (down_from, net.now());
+
+    net.run_for(SimDuration::from_secs(10));
+    assert_all_sent_once_and_settled(&net, 12, down);
+    // the window is two wide again, and no wider
+    let outcomes = net.client_outcomes(client);
+    assert_eq!(outcomes[2].sent_at, down.1 + think);
+    assert_eq!(outcomes[3].sent_at, outcomes[2].sent_at);
+    assert!(outcomes[4].sent_at >= outcomes[2].sent_at + think);
+}
+
+#[test]
+fn client_down_through_its_warmup_starts_over() {
+    let open = Workload::Open {
+        interval: SimDuration::from_millis(100),
+        poisson: false,
+    };
+    let mut net = self_driving_client(45, open, 5, SimDuration::from_secs(5));
+    let client = net.client_ids()[0];
+    net.run_for(SimDuration::from_secs(1));
+    net.kill_node(client);
+    let down_from = net.now();
+    net.run_for(SimDuration::from_millis(500));
+    net.restart_node(client);
+    let down = (down_from, net.now());
+    net.run_for(SimDuration::from_secs(5));
+    assert_all_sent_once_and_settled(&net, 5, down);
+    let warmup = SimDuration::from_secs(2);
+    assert_eq!(net.client_outcomes(client)[0].sent_at, down.1 + warmup);
 }

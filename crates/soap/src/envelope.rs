@@ -2,8 +2,9 @@
 
 use crate::fault::Fault;
 use crate::{SoapError, SOAP_ENVELOPE_NS};
+use std::borrow::Cow;
 use std::ops::ControlFlow;
-use whisper_xml::{parse, scan_start_tags, Element, QName};
+use whisper_xml::{parse, scan_start_tags, Element, Node, QName};
 
 /// A header block: an application element plus SOAP processing attributes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,6 +44,39 @@ impl HeaderBlock {
     pub fn for_role(mut self, role: impl Into<String>) -> Self {
         self.role = Some(role.into());
         self
+    }
+
+    /// The block as it goes on the wire: its content, carrying the
+    /// processing attributes when there are any to carry.
+    fn to_element(&self) -> Cow<'_, Element> {
+        if !self.must_understand && self.role.is_none() {
+            return Cow::Borrowed(&self.content);
+        }
+        let mut c = self.content.clone();
+        if self.must_understand {
+            c.set_attr("mustUnderstand", "true");
+        }
+        if let Some(role) = &self.role {
+            c.set_attr("role", role.clone());
+        }
+        Cow::Owned(c)
+    }
+
+    /// Splits a parsed header element into content and processing
+    /// attributes.
+    fn from_element(mut content: Element) -> Self {
+        let must_understand = content
+            .attr("mustUnderstand")
+            .is_some_and(|v| v == "true" || v == "1");
+        let role = content.attr("role").map(str::to_string);
+        content
+            .attrs
+            .retain(|a| a.name != "mustUnderstand" && a.name != "role");
+        HeaderBlock {
+            content,
+            must_understand,
+            role,
+        }
     }
 }
 
@@ -164,44 +198,82 @@ impl Envelope {
             let mut header = Element::with_ns("Header", SOAP_ENVELOPE_NS);
             header.prefix = Some("soap".into());
             for h in &self.headers {
-                let mut c = h.content.clone();
-                if h.must_understand {
-                    c.set_attr("mustUnderstand", "true");
-                }
-                if let Some(role) = &h.role {
-                    c.set_attr("role", role.clone());
-                }
-                header.push_child(c);
+                header.push_child(h.to_element().into_owned());
             }
             env.push_child(header);
         }
 
         let mut body = Element::with_ns("Body", SOAP_ENVELOPE_NS);
         body.prefix = Some("soap".into());
-        match &self.body {
-            Body::Payload(p) => {
-                body.push_child(p.clone());
-            }
-            Body::Fault(f) => {
-                let mut fe = f.to_element();
-                fe.prefix = Some("soap".into());
-                body.push_child(fe);
-            }
-            Body::Empty => {}
+        if let Some(child) = self.body_element() {
+            body.push_child(child.into_owned());
         }
         env.push_child(body);
         env
     }
 
-    /// Serializes to wire text.
-    pub fn to_xml_string(&self) -> String {
-        self.to_element().to_xml()
+    /// The body's child as it goes on the wire: the payload as it is, a
+    /// fault as its `<soap:Fault>` element.
+    fn body_element(&self) -> Option<Cow<'_, Element>> {
+        match &self.body {
+            Body::Payload(p) => Some(Cow::Borrowed(p)),
+            Body::Fault(f) => {
+                let mut fe = f.to_element();
+                fe.prefix = Some("soap".into());
+                Some(Cow::Owned(fe))
+            }
+            Body::Empty => None,
+        }
     }
 
-    /// Approximate size of the serialized envelope in bytes, used by the
-    /// simulator's bandwidth model without re-serializing.
+    /// Serializes to wire text: `self.to_element().to_xml()` byte for
+    /// byte, written around the payload where it lies instead of around a
+    /// copy of it.
+    pub fn to_xml_string(&self) -> String {
+        let mut out = String::with_capacity(self.wire_size());
+        self.for_each_part(|part| match part {
+            Part::Markup(text) => out.push_str(text),
+            Part::Element(e) => e.write_xml(&mut out),
+        });
+        out
+    }
+
+    /// Size of the serialized envelope in bytes, used by the simulator's
+    /// bandwidth model without serializing it.
     pub fn wire_size(&self) -> usize {
-        self.to_xml_string().len()
+        let mut len = 0;
+        self.for_each_part(|part| {
+            len += match part {
+                Part::Markup(text) => text.len(),
+                Part::Element(e) => e.xml_len(),
+            }
+        });
+        len
+    }
+
+    /// The wire text in order, as the pieces it is made of: the envelope's
+    /// own markup (what [`Envelope::to_element`] builds around the content)
+    /// and the header and body elements it encloses.
+    fn for_each_part(&self, mut part: impl FnMut(Part<'_>)) {
+        part(Part::Markup("<soap:Envelope xmlns:soap=\""));
+        part(Part::Markup(SOAP_ENVELOPE_NS));
+        part(Part::Markup("\">"));
+        if !self.headers.is_empty() {
+            part(Part::Markup("<soap:Header>"));
+            for h in &self.headers {
+                part(Part::Element(&h.to_element()));
+            }
+            part(Part::Markup("</soap:Header>"));
+        }
+        match self.body_element() {
+            Some(child) => {
+                part(Part::Markup("<soap:Body>"));
+                part(Part::Element(&child));
+                part(Part::Markup("</soap:Body>"));
+            }
+            None => part(Part::Markup("<soap:Body/>")),
+        }
+        part(Part::Markup("</soap:Envelope>"));
     }
 
     /// Parses an envelope from wire text.
@@ -213,8 +285,7 @@ impl Envelope {
     /// * [`SoapError::MissingBody`] when no `Body` child exists.
     /// * [`SoapError::MalformedFault`] when a fault body is invalid.
     pub fn parse(text: &str) -> Result<Self, SoapError> {
-        let root = parse(text)?;
-        Self::from_element(&root)
+        Self::from_root(parse(text)?)
     }
 
     /// What the body of the envelope in `text` holds, without building
@@ -270,42 +341,65 @@ impl Envelope {
     ///
     /// Same conditions as [`Envelope::parse`], minus XML errors.
     pub fn from_element(root: &Element) -> Result<Self, SoapError> {
+        Self::from_root(root.clone())
+    }
+
+    /// Takes a parsed envelope apart: header contents and the payload are
+    /// moved out of the tree, not copied.
+    fn from_root(root: Element) -> Result<Self, SoapError> {
         if root.name != "Envelope" || root.ns.as_deref() != Some(SOAP_ENVELOPE_NS) {
             return Err(SoapError::NotAnEnvelope(root.qname().to_clark()));
         }
-        let mut headers = Vec::new();
-        if let Some(h) = root.child_ns(SOAP_ENVELOPE_NS, "Header") {
-            for c in h.child_elements() {
-                let must = c
-                    .attr("mustUnderstand")
-                    .map(|v| v == "true" || v == "1")
-                    .unwrap_or(false);
-                let role = c.attr("role").map(str::to_string);
-                let mut content = c.clone();
-                content
-                    .attrs
-                    .retain(|a| a.name != "mustUnderstand" && a.name != "role");
-                headers.push(HeaderBlock {
-                    content,
-                    must_understand: must,
-                    role,
-                });
+        // the first Header and the first Body count, wherever they stand
+        let (mut header, mut body) = (None, None);
+        for node in root.children {
+            let Node::Element(e) = node else { continue };
+            if e.ns.as_deref() != Some(SOAP_ENVELOPE_NS) {
+                continue;
+            }
+            if e.name == "Header" && header.is_none() {
+                header = Some(e);
+            } else if e.name == "Body" && body.is_none() {
+                body = Some(e);
             }
         }
-        let body_el = root
-            .child_ns(SOAP_ENVELOPE_NS, "Body")
-            .ok_or(SoapError::MissingBody)?;
-        let body = match body_el.child_elements().next() {
+        let headers = header
+            .into_iter()
+            .flat_map(|h| h.children)
+            .filter_map(into_element)
+            .map(HeaderBlock::from_element)
+            .collect();
+        let first = body
+            .ok_or(SoapError::MissingBody)?
+            .children
+            .into_iter()
+            .find_map(into_element);
+        let body = match first {
             None => Body::Empty,
             Some(first)
                 if first.name == "Fault" && first.ns.as_deref() == Some(SOAP_ENVELOPE_NS) =>
             {
-                Body::Fault(Fault::from_element(first)?)
+                Body::Fault(Fault::from_element(&first)?)
             }
-            Some(first) => Body::Payload(first.clone()),
+            Some(first) => Body::Payload(first),
         };
         Ok(Envelope { headers, body })
     }
+}
+
+fn into_element(node: Node) -> Option<Element> {
+    match node {
+        Node::Element(e) => Some(e),
+        _ => None,
+    }
+}
+
+/// A piece of an envelope's wire text.
+enum Part<'a> {
+    /// The envelope's own tags.
+    Markup(&'a str),
+    /// A header block or the body's child, to be serialized in place.
+    Element(&'a Element),
 }
 
 #[cfg(test)]
@@ -424,5 +518,29 @@ mod tests {
     fn wire_size_tracks_serialization() {
         let env = Envelope::request(payload());
         assert_eq!(env.wire_size(), env.to_xml_string().len());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let too_deep = |r: Result<(), SoapError>| match r {
+            Err(SoapError::Xml(e)) => e.to_string().contains("nested deeper"),
+            _ => false,
+        };
+        // 5 000 levels overflowed a 2 MiB stack before the parser capped them
+        let deep = format!("{}{}", "<a>".repeat(5_000), "</a>".repeat(5_000));
+        let envelope = |header: &str, body: &str| {
+            format!(
+                "<soap:Envelope xmlns:soap=\"{SOAP_ENVELOPE_NS}\"><soap:Header>{header}\
+                 </soap:Header><soap:Body>{body}</soap:Body></soap:Envelope>"
+            )
+        };
+        // ahead of the body, both the parse and the peek walk into it
+        let text = envelope(&deep, "<Ping/>");
+        assert!(too_deep(Envelope::parse(&text).map(drop)));
+        assert!(too_deep(Envelope::peek_body(&text).map(drop)));
+        // in the payload only the parse does: the peek stops at its start tag
+        let text = envelope("", &deep);
+        assert!(too_deep(Envelope::parse(&text).map(drop)));
+        assert_eq!(Envelope::peek_body(&text), Ok(BodyKind::Payload("a")));
     }
 }

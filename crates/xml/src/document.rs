@@ -42,7 +42,7 @@ impl Document {
             }
             out.push_str("?>\n");
         }
-        out.push_str(&self.root.to_xml());
+        self.root.write_xml(&mut out);
         out
     }
 }

@@ -37,6 +37,8 @@ pub(crate) enum ErrorKind {
     UndeclaredPrefix(String),
     /// Malformed XML declaration, comment, CDATA or processing instruction.
     BadMarkup(&'static str),
+    /// Elements nest deeper than the parser's cap (carried here).
+    DepthExceeded(usize),
 }
 
 impl XmlError {
@@ -68,6 +70,7 @@ impl fmt::Display for XmlError {
             ErrorKind::NoRootElement => write!(f, "document has no root element"),
             ErrorKind::UndeclaredPrefix(p) => write!(f, "undeclared namespace prefix {p:?}"),
             ErrorKind::BadMarkup(what) => write!(f, "malformed {what}"),
+            ErrorKind::DepthExceeded(cap) => write!(f, "elements nested deeper than {cap} levels"),
         }?;
         write!(f, " at byte {}", self.offset)
     }

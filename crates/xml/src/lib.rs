@@ -55,7 +55,7 @@ pub use error::XmlError;
 pub use escape::{escape_attr, escape_text, unescape};
 pub use intern::{intern, IStr};
 pub use name::QName;
-pub use parser::{parse, parse_document, scan_start_tags, StartTag};
+pub use parser::{parse, parse_document, scan_start_tags, StartTag, MAX_DEPTH};
 
 /// The XML namespace URI reserved for the `xml:` prefix.
 pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";

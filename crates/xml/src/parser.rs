@@ -2,11 +2,18 @@
 
 use crate::document::{Attribute, Document, Element, Node};
 use crate::error::{ErrorKind, XmlError};
-use crate::escape::resolve_entity;
+use crate::escape::{find_any, resolve_entity};
 use crate::intern::{intern, IStr};
 use crate::name::{is_valid_ncname, split_prefixed};
-use std::collections::HashMap;
 use std::ops::ControlFlow;
+
+/// How deep elements may nest (the root is level 1). The parser recurses
+/// once per level, and so does everything that later walks the tree, so
+/// input from the network must not choose the depth: 5 000 nested `<a>`
+/// (35 KB) used to overflow a 2 MiB actor-thread stack. Every document the
+/// stack itself produces — envelopes, WSDL, ontologies, advertisements —
+/// is under 20 deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parses a document and returns its root element.
 ///
@@ -16,7 +23,8 @@ use std::ops::ControlFlow;
 /// # Errors
 ///
 /// Returns [`XmlError`] when the input is not well-formed per the supported
-/// subset (see the crate docs), including undeclared namespace prefixes.
+/// subset (see the crate docs), including undeclared namespace prefixes and
+/// elements nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     parse_document(input).map(|d| d.root)
 }
@@ -26,11 +34,12 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
 /// # Errors
 ///
 /// Returns [`XmlError`] when the input is not well-formed per the supported
-/// subset (see the crate docs), including undeclared namespace prefixes.
+/// subset (see the crate docs), including undeclared namespace prefixes and
+/// elements nested deeper than [`MAX_DEPTH`].
 pub fn parse_document(input: &str) -> Result<Document, XmlError> {
     let mut p = Parser::new(input);
     let (version, encoding) = p.parse_prolog()?;
-    let root = p.parse_element(&NsScope::root())?;
+    let root = p.parse_element(0)?;
     p.parse_epilog()?;
     Ok(Document {
         version,
@@ -58,9 +67,7 @@ pub fn scan_start_tags<'a>(
 ) -> Result<(), XmlError> {
     let mut p = Parser::new(input);
     p.parse_prolog()?;
-    if p.walk_element(&NsScope::root(), 0, &mut visit)?
-        .is_continue()
-    {
+    if p.walk_element(0, &mut visit)?.is_continue() {
         p.parse_epilog()?;
     }
     Ok(())
@@ -70,7 +77,7 @@ pub fn scan_start_tags<'a>(
 pub struct StartTag<'a> {
     /// The name as written, prefix included (what the end tag must repeat).
     raw: &'a str,
-    prefix: Option<&'a str>,
+    prefix: Option<IStr>,
     local: &'a str,
     ns: Option<IStr>,
     self_closing: bool,
@@ -89,51 +96,63 @@ impl<'a> StartTag<'a> {
     }
 }
 
-/// A lexical scope of namespace declarations, chained to its parent.
-struct NsScope<'a> {
-    parent: Option<&'a NsScope<'a>>,
-    /// prefix -> uri; "" is the default namespace. An empty-string URI
-    /// un-declares the binding (xmlns="" semantics).
-    bindings: HashMap<String, String>,
+/// A lexical name, split at its colon.
+struct RawName<'a> {
+    raw: &'a str,
+    prefix: Option<&'a str>,
+    local: &'a str,
 }
 
-impl<'a> NsScope<'a> {
-    fn root() -> NsScope<'static> {
-        let mut bindings = HashMap::new();
-        bindings.insert("xml".to_string(), crate::XML_NS.to_string());
-        bindings.insert("xmlns".to_string(), crate::XMLNS_NS.to_string());
-        NsScope {
-            parent: None,
-            bindings,
-        }
-    }
+const NAME_START: u8 = 1;
+const NAME_CHAR: u8 = 2;
+const SPACE: u8 = 4;
 
-    fn child(&'a self) -> NsScope<'a> {
-        NsScope {
-            parent: Some(self),
-            bindings: HashMap::new(),
+/// What the `char` predicates of the fallback paths say about each ASCII
+/// byte: `is_alphabetic() || '_'`, `is_alphanumeric() || '.' | '-' | '_'`
+/// and `is_whitespace()` (which, unlike `u8::is_ascii_whitespace`, counts
+/// the vertical tab). Bytes from 0x80 up have no class: they send the
+/// caller to the `char` code.
+const ASCII_CLASS: [u8; 256] = {
+    let mut class = [0; 256];
+    let mut b = 0;
+    while b < 128 {
+        let c = b as u8;
+        if c.is_ascii_alphabetic() || c == b'_' {
+            class[b] = NAME_START | NAME_CHAR;
+        } else if c.is_ascii_digit() || c == b'.' || c == b'-' {
+            class[b] = NAME_CHAR;
+        } else if matches!(c, b'\t'..=b'\r' | b' ') {
+            class[b] = SPACE;
         }
+        b += 1;
     }
+    class
+};
 
-    fn resolve(&self, prefix: &str) -> Option<&str> {
-        if let Some(uri) = self.bindings.get(prefix) {
-            if uri.is_empty() {
-                return None;
-            }
-            return Some(uri);
-        }
-        self.parent.and_then(|p| p.resolve(prefix))
-    }
+fn is_class(b: u8, class: u8) -> bool {
+    ASCII_CLASS[usize::from(b)] & class != 0
 }
 
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// The namespace declarations in scope, outermost first: `(prefix,
+    /// uri)`, the prefix `""` for the default namespace, the URI `None`
+    /// for an un-declaration (`xmlns=""`). An element pushes its own on
+    /// top and truncates back to where it started when it closes, so a
+    /// lookup from the top finds the innermost declaration first. The
+    /// reserved `xml` and `xmlns` bindings sit below the bottom of the
+    /// stack ([`Parser::resolve`]).
+    bindings: Vec<(IStr, Option<IStr>)>,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { input, pos: 0 }
+        Parser {
+            input,
+            pos: 0,
+            bindings: Vec::new(),
+        }
     }
 
     fn err(&self, kind: ErrorKind) -> XmlError {
@@ -150,6 +169,10 @@ impl<'a> Parser<'a> {
 
     fn peek(&self) -> Option<char> {
         self.rest().chars().next()
+    }
+
+    fn peek_byte(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -171,16 +194,41 @@ impl<'a> Parser<'a> {
         if self.eat(s) {
             Ok(())
         } else {
-            match self.peek() {
-                Some(c) => Err(self.err(ErrorKind::UnexpectedChar(c))),
-                None => Err(self.err(ErrorKind::UnexpectedEof)),
-            }
+            Err(self.unexpected())
+        }
+    }
+
+    /// [`Parser::expect`] for one ASCII byte.
+    fn expect_byte(&mut self, b: u8) -> Result<(), XmlError> {
+        if self.peek_byte() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.unexpected())
+        }
+    }
+
+    /// The error for whatever sits at the cursor.
+    #[cold]
+    fn unexpected(&self) -> XmlError {
+        match self.peek() {
+            Some(c) => self.err(ErrorKind::UnexpectedChar(c)),
+            None => self.err(ErrorKind::UnexpectedEof),
         }
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
+        while let Some(b) = self.peek_byte() {
+            if is_class(b, SPACE) {
+                self.pos += 1;
+            } else if b >= 0x80 {
+                match self.peek() {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => return,
+                }
+            } else {
+                return;
+            }
         }
     }
 
@@ -300,7 +348,48 @@ impl<'a> Parser<'a> {
         Ok(Node::CData(body))
     }
 
-    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
+    /// Reads and validates a name in one pass over its bytes. A byte from
+    /// 0x80 up hands the whole name to [`Parser::parse_name_chars`]: until
+    /// then nothing was consumed, so both paths start from the same place.
+    fn parse_name(&mut self) -> Result<RawName<'a>, XmlError> {
+        let bytes = self.input.as_bytes();
+        let start = self.pos;
+        let mut end = start;
+        let mut colon = None;
+        let mut second_colon = false;
+        while let Some(&b) = bytes.get(end) {
+            if b == b':' {
+                second_colon |= colon.is_some();
+                colon.get_or_insert(end);
+            } else if b >= 0x80 {
+                return self.parse_name_chars();
+            } else if !is_class(b, NAME_CHAR) {
+                break;
+            }
+            end += 1;
+        }
+        self.pos = end;
+        let raw = &self.input[start..end];
+        if raw.is_empty() {
+            return Err(self.err(ErrorKind::BadName(String::new())));
+        }
+        // every byte is a name character or a colon already; what is left
+        // of `is_valid_ncname` is how each part starts
+        let local_at = colon.map_or(start, |c| c + 1);
+        let starts_name = |at: usize| at < end && is_class(bytes[at], NAME_START);
+        if second_colon || !starts_name(start) || !starts_name(local_at) {
+            return Err(self.err(ErrorKind::BadName(raw.to_string())));
+        }
+        Ok(RawName {
+            raw,
+            prefix: colon.map(|c| &self.input[start..c]),
+            local: &self.input[local_at..end],
+        })
+    }
+
+    /// [`Parser::parse_name`] by `char`, for names that are not all ASCII.
+    #[cold]
+    fn parse_name_chars(&mut self) -> Result<RawName<'a>, XmlError> {
         let start = self.pos;
         while matches!(self.peek(), Some(c) if c.is_alphanumeric() || matches!(c, '.' | '-' | '_' | ':'))
         {
@@ -311,34 +400,39 @@ impl<'a> Parser<'a> {
             return Err(self.err(ErrorKind::BadName(String::new())));
         }
         let (prefix, local) = split_prefixed(raw);
-        if let Some(p) = prefix {
-            if !is_valid_ncname(p) || !is_valid_ncname(local) {
-                return Err(self.err(ErrorKind::BadName(raw.to_string())));
-            }
-        } else if !is_valid_ncname(local) {
+        if !prefix.is_none_or(is_valid_ncname) || !is_valid_ncname(local) {
             return Err(self.err(ErrorKind::BadName(raw.to_string())));
         }
-        Ok(raw)
+        Ok(RawName { raw, prefix, local })
     }
 
     fn parse_attr_value(&mut self) -> Result<String, XmlError> {
-        let quote = match self.bump() {
-            Some(q @ ('"' | '\'')) => q,
-            Some(c) => return Err(self.err(ErrorKind::UnexpectedChar(c))),
-            None => return Err(self.err(ErrorKind::UnexpectedEof)),
+        let quote = match self.peek_byte() {
+            Some(q @ (b'"' | b'\'')) => q,
+            _ => {
+                // the offset of this error is past the offending character
+                return Err(match self.bump() {
+                    Some(c) => self.err(ErrorKind::UnexpectedChar(c)),
+                    None => self.err(ErrorKind::UnexpectedEof),
+                });
+            }
         };
+        self.pos += 1;
         let mut out = String::new();
         loop {
             // copy whole delimiter-free runs at once instead of per-char
             let rest = self.rest();
-            let stop = rest.find([quote, '&', '<']).unwrap_or(rest.len());
+            let stop = find_any(rest.as_bytes(), [quote, b'&', b'<']).unwrap_or(rest.len());
             out.push_str(&rest[..stop]);
             self.pos += stop;
-            match self.bump() {
-                Some('&') => out.push(self.parse_entity()?),
-                Some('<') => return Err(self.err(ErrorKind::UnexpectedChar('<'))),
-                Some(_) => break, // the closing quote
-                None => return Err(self.err(ErrorKind::UnexpectedEof)),
+            let Some(&delimiter) = rest.as_bytes().get(stop) else {
+                return Err(self.err(ErrorKind::UnexpectedEof));
+            };
+            self.pos += 1;
+            match delimiter {
+                b'&' => out.push(self.parse_entity()?),
+                b'<' => return Err(self.err(ErrorKind::UnexpectedChar('<'))),
+                _ => break, // the closing quote
             }
         }
         Ok(out)
@@ -352,9 +446,14 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| self.err(ErrorKind::BadEntity(String::new())))?;
         let body = &self.rest()[..semi];
         if body.len() > 12 {
-            // entity bodies are tiny; a missing ';' shouldn't scan the file
+            // entity bodies are tiny; report the head of an overlong one
+            // (cut at a character boundary: the body is input, not ours)
+            let mut cut = 12;
+            while !body.is_char_boundary(cut) {
+                cut -= 1;
+            }
             return Err(XmlError::new(
-                ErrorKind::BadEntity(body[..12].to_string()),
+                ErrorKind::BadEntity(body[..cut].to_string()),
                 start,
             ));
         }
@@ -364,58 +463,82 @@ impl<'a> Parser<'a> {
         Ok(c)
     }
 
+    /// The innermost binding of `prefix` (`""`: the default namespace) as
+    /// `(prefix, uri)`, both shared with the declaration that made it — no
+    /// interner lookup. `None` when nothing binds it, or the innermost
+    /// declaration un-declared it.
+    fn resolve(&self, prefix: &str) -> Option<(IStr, IStr)> {
+        match self.bindings.iter().rev().find(|(p, _)| p == prefix) {
+            Some((p, uri)) => uri.as_ref().map(|uri| (p.clone(), uri.clone())),
+            None => {
+                // the two bindings every document starts with
+                let uri = match prefix {
+                    "xml" => crate::XML_NS,
+                    "xmlns" => crate::XMLNS_NS,
+                    _ => return None,
+                };
+                Some((intern(prefix), intern(uri)))
+            }
+        }
+    }
+
+    #[cold]
+    fn undeclared(&self, prefix: &str) -> XmlError {
+        self.err(ErrorKind::UndeclaredPrefix(prefix.to_string()))
+    }
+
     /// Parses `<name attr="v" ...>` or `.../>`: the attributes go into
-    /// `attrs`, the namespace declarations among them into `scope` (the
-    /// element's own, fresh from [`NsScope::child`]). Both are the
-    /// caller's so the returned tag stays small: carrying the `Vec` out
-    /// inside it cost 5 % of `parse` on an element-heavy document.
+    /// `attrs`, the namespace declarations among them onto
+    /// `self.bindings` — the caller truncates those when the element
+    /// closes. `attrs` is the caller's so the returned tag stays small:
+    /// carrying the `Vec` out inside it cost 5 % of `parse` on an
+    /// element-heavy document.
     #[inline]
-    fn parse_start_tag(
-        &mut self,
-        scope: &mut NsScope<'_>,
-        attrs: &mut Vec<Attribute>,
-    ) -> Result<StartTag<'a>, XmlError> {
-        self.expect("<")?;
-        let raw = self.parse_name()?;
-        let (eprefix, elocal) = split_prefixed(raw);
+    fn parse_start_tag(&mut self, attrs: &mut Vec<Attribute>) -> Result<StartTag<'a>, XmlError> {
+        self.expect_byte(b'<')?;
+        let name = self.parse_name()?;
 
         let self_closing;
         loop {
             self.skip_ws();
-            match self.peek() {
-                Some('>') => {
-                    self.bump();
+            match self.peek_byte() {
+                Some(b'>') => {
+                    self.pos += 1;
                     self_closing = false;
                     break;
                 }
-                Some('/') => {
-                    self.bump();
-                    self.expect(">")?;
+                Some(b'/') => {
+                    self.pos += 1;
+                    self.expect_byte(b'>')?;
                     self_closing = true;
                     break;
                 }
                 Some(_) => {
-                    let araw = self.parse_name()?;
+                    let attr = self.parse_name()?;
                     self.skip_ws();
-                    self.expect("=")?;
+                    self.expect_byte(b'=')?;
                     self.skip_ws();
                     let value = self.parse_attr_value()?;
-                    let (aprefix, alocal) = split_prefixed(araw);
                     if attrs
                         .iter()
-                        .any(|a| a.name == alocal && a.prefix.as_deref() == aprefix)
+                        .any(|a| a.name == attr.local && a.prefix.as_deref() == attr.prefix)
                     {
-                        return Err(self.err(ErrorKind::DuplicateAttribute(araw.to_string())));
+                        return Err(self.err(ErrorKind::DuplicateAttribute(attr.raw.to_string())));
                     }
+                    let local = intern(attr.local);
                     // Record namespace declarations into the scope.
-                    if aprefix.is_none() && alocal == "xmlns" {
-                        scope.bindings.insert(String::new(), value.clone());
-                    } else if aprefix == Some("xmlns") {
-                        scope.bindings.insert(alocal.to_string(), value.clone());
+                    let declares = match attr.prefix {
+                        None if attr.local == "xmlns" => Some(IStr::default()),
+                        Some("xmlns") => Some(local.clone()),
+                        _ => None,
+                    };
+                    if let Some(prefix) = declares {
+                        let uri = (!value.is_empty()).then(|| intern(&value));
+                        self.bindings.push((prefix, uri));
                     }
                     attrs.push(Attribute {
-                        prefix: aprefix.map(intern),
-                        name: intern(alocal),
+                        prefix: attr.prefix.map(intern),
+                        name: local,
                         ns: None, // resolved below once the scope is complete
                         value,
                     });
@@ -425,29 +548,27 @@ impl<'a> Parser<'a> {
         }
 
         // Resolve the element's namespace.
-        let ns = match eprefix {
+        let (prefix, ns) = match name.prefix {
             Some(p) => {
-                Some(intern(scope.resolve(p).ok_or_else(|| {
-                    self.err(ErrorKind::UndeclaredPrefix(p.to_string()))
-                })?))
+                let (prefix, uri) = self.resolve(p).ok_or_else(|| self.undeclared(p))?;
+                (Some(prefix), Some(uri))
             }
-            None => scope.resolve("").map(intern),
+            None => (None, self.resolve("").map(|(_, uri)| uri)),
         };
         // Resolve attribute namespaces (prefixed attributes only).
         for a in attrs {
             if a.is_ns_decl() {
                 a.ns = Some(intern(crate::XMLNS_NS));
             } else if let Some(p) = &a.prefix {
-                a.ns = Some(intern(scope.resolve(p).ok_or_else(|| {
-                    self.err(ErrorKind::UndeclaredPrefix(p.to_string()))
-                })?));
+                let (_, uri) = self.resolve(p).ok_or_else(|| self.undeclared(p))?;
+                a.ns = Some(uri);
             }
         }
 
         Ok(StartTag {
-            raw,
-            prefix: eprefix,
-            local: elocal,
+            raw: name.raw,
+            prefix,
+            local: name.local,
             ns,
             self_closing,
         })
@@ -458,9 +579,18 @@ impl<'a> Parser<'a> {
     #[inline]
     fn parse_end_tag(&mut self, raw: &str) -> Result<(), XmlError> {
         self.pos += 2;
-        let end_raw = self.parse_name()?;
+        // `raw` passed `parse_name` once; the same bytes followed by a
+        // byte no name continues with would pass it again, as `raw`
+        let after = self.input.as_bytes().get(self.pos + raw.len());
+        let ends_name = matches!(after, Some(&b) if b == b'>' || is_class(b, SPACE));
+        if ends_name && self.rest().starts_with(raw) {
+            self.pos += raw.len();
+            self.skip_ws();
+            return self.expect_byte(b'>');
+        }
+        let end_raw = self.parse_name()?.raw;
         self.skip_ws();
-        self.expect(">")?;
+        self.expect_byte(b'>')?;
         if end_raw != raw {
             return Err(self.err(ErrorKind::MismatchedTag {
                 expected: raw.to_string(),
@@ -470,111 +600,124 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    /// Refuses an element at `depth` (root = 0) past [`MAX_DEPTH`].
+    fn check_depth(&self, depth: usize) -> Result<(), XmlError> {
+        if depth >= MAX_DEPTH {
+            return Err(self.err(ErrorKind::DepthExceeded(MAX_DEPTH)));
+        }
+        Ok(())
+    }
+
+    /// What the content of an open element continues with.
+    fn next_content(&self) -> Result<Content, XmlError> {
+        let bytes = &self.input.as_bytes()[self.pos..];
+        Ok(match bytes {
+            [] => return Err(self.err(ErrorKind::UnexpectedEof)),
+            [b'<', b'/', ..] => Content::EndTag,
+            [b'<', b'?', ..] => Content::Pi,
+            [b'<', b'!', ..] if bytes.starts_with(b"<!--") => Content::Comment,
+            [b'<', b'!', ..] if bytes.starts_with(b"<![CDATA[") => Content::CData,
+            [b'<', ..] => Content::Element,
+            _ => Content::Text,
+        })
+    }
+
     /// [`scan_start_tags`] for one element and its content: every check
     /// of [`Parser::parse_element`], none of its nodes kept.
     fn walk_element(
         &mut self,
-        parent_scope: &NsScope<'_>,
         depth: usize,
         visit: &mut impl FnMut(usize, &StartTag<'a>) -> ControlFlow<()>,
     ) -> Result<ControlFlow<()>, XmlError> {
-        let mut scope = parent_scope.child();
-        let tag = self.parse_start_tag(&mut scope, &mut Vec::new())?;
+        self.check_depth(depth)?;
+        let scope = self.bindings.len();
+        let tag = self.parse_start_tag(&mut Vec::new())?;
         if visit(depth, &tag).is_break() {
             return Ok(ControlFlow::Break(()));
         }
-        if tag.self_closing {
-            return Ok(ControlFlow::Continue(()));
-        }
-        loop {
-            if self.rest().starts_with("</") {
-                self.parse_end_tag(tag.raw)?;
-                return Ok(ControlFlow::Continue(()));
-            } else if self.rest().starts_with("<!--") {
-                self.parse_comment()?;
-            } else if self.rest().starts_with("<![CDATA[") {
-                self.parse_cdata()?;
-            } else if self.rest().starts_with("<?") {
-                self.parse_pi()?;
-            } else if self.rest().starts_with('<') {
-                if self.walk_element(&scope, depth + 1, visit)?.is_break() {
-                    return Ok(ControlFlow::Break(()));
+        let mut open = !tag.self_closing;
+        while open {
+            match self.next_content()? {
+                Content::EndTag => {
+                    self.parse_end_tag(tag.raw)?;
+                    open = false;
                 }
-            } else if self.eof() {
-                return Err(self.err(ErrorKind::UnexpectedEof));
-            } else {
-                self.parse_text()?;
+                Content::Comment => drop(self.parse_comment()?),
+                Content::CData => drop(self.parse_cdata()?),
+                Content::Pi => drop(self.parse_pi()?),
+                Content::Element => {
+                    if self.walk_element(depth + 1, visit)?.is_break() {
+                        return Ok(ControlFlow::Break(()));
+                    }
+                }
+                Content::Text => drop(self.parse_text()?),
             }
         }
+        self.bindings.truncate(scope);
+        Ok(ControlFlow::Continue(()))
     }
 
-    fn parse_element(&mut self, parent_scope: &NsScope<'_>) -> Result<Element, XmlError> {
-        let mut scope = parent_scope.child();
+    fn parse_element(&mut self, depth: usize) -> Result<Element, XmlError> {
+        self.check_depth(depth)?;
+        let scope = self.bindings.len();
         let mut attrs = Vec::new();
-        let StartTag {
-            raw,
-            prefix,
-            local,
-            ns,
-            self_closing,
-        } = self.parse_start_tag(&mut scope, &mut attrs)?;
+        let tag = self.parse_start_tag(&mut attrs)?;
         let mut element = Element {
-            prefix: prefix.map(intern),
-            name: intern(local),
-            ns,
+            prefix: tag.prefix,
+            name: intern(tag.local),
+            ns: tag.ns,
             attrs,
             children: Vec::new(),
         };
-        if self_closing {
-            return Ok(element);
-        }
-
         // Content until the matching end tag.
-        loop {
-            if self.rest().starts_with("</") {
-                self.parse_end_tag(raw)?;
-                return Ok(element);
-            } else if self.rest().starts_with("<!--") {
-                let c = self.parse_comment()?;
-                element.children.push(c);
-            } else if self.rest().starts_with("<![CDATA[") {
-                let c = self.parse_cdata()?;
-                element.children.push(c);
-            } else if self.rest().starts_with("<?") {
-                let c = self.parse_pi()?;
-                element.children.push(c);
-            } else if self.rest().starts_with('<') {
-                let child = self.parse_element(&scope)?;
-                element.children.push(Node::Element(child));
-            } else if self.eof() {
-                return Err(self.err(ErrorKind::UnexpectedEof));
-            } else {
-                let text = self.parse_text()?;
-                if !text.is_empty() {
-                    element.children.push(Node::Text(text));
+        let mut open = !tag.self_closing;
+        while open {
+            let child = match self.next_content()? {
+                Content::EndTag => {
+                    self.parse_end_tag(tag.raw)?;
+                    open = false;
+                    continue;
                 }
-            }
+                Content::Comment => self.parse_comment()?,
+                Content::CData => self.parse_cdata()?,
+                Content::Pi => self.parse_pi()?,
+                Content::Element => Node::Element(self.parse_element(depth + 1)?),
+                Content::Text => Node::Text(self.parse_text()?),
+            };
+            element.children.push(child);
         }
+        // leaving the element's scope: its declarations are the ones on top
+        self.bindings.truncate(scope);
+        Ok(element)
     }
 
+    /// A text run up to the next `<` (or the end of input); never empty,
+    /// because [`Parser::next_content`] saw a byte that is not `<`.
     fn parse_text(&mut self) -> Result<String, XmlError> {
         let mut out = String::new();
         loop {
             // copy whole delimiter-free runs at once instead of per-char
             let rest = self.rest();
-            let stop = rest.find(['<', '&']).unwrap_or(rest.len());
+            let stop = find_any(rest.as_bytes(), [b'<', b'&']).unwrap_or(rest.len());
             out.push_str(&rest[..stop]);
             self.pos += stop;
-            match self.peek() {
-                Some('&') => {
-                    self.bump();
-                    out.push(self.parse_entity()?);
-                }
-                _ => break,
+            if rest.as_bytes().get(stop) != Some(&b'&') {
+                return Ok(out);
             }
+            self.pos += 1;
+            out.push(self.parse_entity()?);
         }
-        Ok(out)
     }
+}
+
+/// The kinds of thing element content is made of.
+enum Content {
+    EndTag,
+    Comment,
+    CData,
+    Pi,
+    Element,
+    Text,
 }
 
 fn extract_pseudo_attr(decl: &str, name: &str) -> Option<String> {
@@ -779,6 +922,58 @@ mod tests {
                 parse(bad).unwrap_err()
             );
         }
+    }
+
+    #[test]
+    fn a_closed_elements_declarations_are_out_of_scope() {
+        // the sibling after `b` must not see `b`'s bindings
+        let err = parse(r#"<a><b xmlns:p="urn:p"><p:c/></b><p:d/></a>"#).unwrap_err();
+        assert_eq!(
+            err,
+            XmlError::new(ErrorKind::UndeclaredPrefix("p".into()), 38)
+        );
+        let e = parse(r#"<a xmlns="urn:1"><b xmlns="urn:2"/><c xmlns=""/><d/></a>"#).unwrap();
+        let ns: Vec<_> = e.child_elements().map(|c| c.ns.as_deref()).collect();
+        assert_eq!(ns, [Some("urn:2"), None, Some("urn:1")]);
+    }
+
+    #[test]
+    fn prefix_and_namespace_are_the_declarations_own() {
+        // no second allocation: the element shares the binding's strings
+        let e = parse(r#"<p:a xmlns:p="urn:p"><p:b/></p:a>"#).unwrap();
+        let b = e.child("b").unwrap();
+        assert_eq!(
+            (b.prefix.as_deref(), b.ns.as_deref()),
+            (Some("p"), Some("urn:p"))
+        );
+        assert_eq!(e.attrs[0].ns.as_deref(), Some(crate::XMLNS_NS));
+        // the reserved prefix needs no declaration
+        let e = parse(r#"<a xml:lang="en"/>"#).unwrap();
+        assert_eq!(e.attr_ns(crate::XML_NS, "lang"), Some("en"));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        // siblings are not depth
+        assert!(parse(&format!("<a>{}</a>", "<b/>".repeat(10 * MAX_DEPTH))).is_ok());
+        let too_deep = XmlError::new(ErrorKind::DepthExceeded(MAX_DEPTH), 3 * MAX_DEPTH);
+        // one level more, and the 5 000 levels that overflowed a 2 MiB stack
+        for depth in [MAX_DEPTH + 1, 5_000, 100_000] {
+            let text = nested(depth);
+            assert_eq!(parse(&text).unwrap_err(), too_deep);
+            let walked = scan_start_tags(&text, |_, _| ControlFlow::Continue(()));
+            assert_eq!(walked.unwrap_err(), too_deep);
+        }
+        assert!(too_deep.to_string().contains("nested deeper than 128"));
+    }
+
+    #[test]
+    fn overlong_entity_is_cut_at_a_character() {
+        // byte 12 of the body falls inside an `é`
+        let err = parse("<a>&aéééééé;</a>").unwrap_err();
+        assert_eq!(err, XmlError::new(ErrorKind::BadEntity("aééééé".into()), 4));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Serialization of the document model back to XML text.
 
 use crate::document::{Element, Node};
-use crate::escape::{escape_attr, escape_text};
-use std::fmt::Write as _;
+use crate::escape::{escaped_len, push_escaped, ATTR_SPECIALS, TEXT_SPECIALS};
+use crate::intern::IStr;
 
 impl Element {
     /// Serializes this element (and its subtree) to compact XML.
@@ -11,9 +11,50 @@ impl Element {
     /// fields, which the parser recomputes from the declarations that are
     /// stored as attributes).
     pub fn to_xml(&self) -> String {
-        let mut out = String::with_capacity(self.subtree_size() * 16);
-        write_element(&mut out, self, None);
+        let mut out = String::with_capacity(self.xml_len());
+        self.write_xml(&mut out);
         out
+    }
+
+    /// Appends what [`Element::to_xml`] returns to `out`: for callers that
+    /// write a document around an element they only borrow.
+    pub fn write_xml(&self, out: &mut String) {
+        write_element(out, self, None);
+    }
+
+    /// `self.to_xml().len()`, from a pass over the tree that writes
+    /// nothing: the capacity [`Element::to_xml`] allocates, once.
+    pub fn xml_len(&self) -> usize {
+        let name = name_len(&self.prefix, &self.name);
+        let mut len = "<".len() + name;
+        for a in &self.attrs {
+            len += " ".len() + name_len(&a.prefix, &a.name);
+            len += "=\"".len() + escaped_len(&a.value, ATTR_SPECIALS) + "\"".len();
+        }
+        if let Some(ns) = synthesized_default_ns(self) {
+            len += " xmlns=\"".len() + escaped_len(ns, ATTR_SPECIALS) + "\"".len();
+        }
+        if self.children.is_empty() {
+            return len + "/>".len();
+        }
+        len += ">".len() + "</".len() + name + ">".len();
+        for n in &self.children {
+            len += match n {
+                Node::Element(c) => c.xml_len(),
+                Node::Text(t) => escaped_len(t, TEXT_SPECIALS),
+                Node::CData(t) => "<![CDATA[".len() + t.len() + "]]>".len(),
+                Node::Comment(c) => "<!--".len() + c.len() + "-->".len(),
+                Node::ProcessingInstruction { target, data } => {
+                    let data = if data.is_empty() {
+                        0
+                    } else {
+                        " ".len() + data.len()
+                    };
+                    "<?".len() + target.len() + data + "?>".len()
+                }
+            };
+        }
+        len
     }
 
     /// Serializes with two-space indentation for human consumption.
@@ -28,49 +69,65 @@ impl Element {
     }
 }
 
+/// Length of a lexical (possibly prefixed) name.
+fn name_len(prefix: &Option<IStr>, name: &IStr) -> usize {
+    prefix.as_ref().map_or(0, |p| p.len() + ":".len()) + name.len()
+}
+
+/// Writes a lexical (possibly prefixed) name.
+fn write_name(out: &mut String, prefix: &Option<IStr>, name: &IStr) {
+    if let Some(p) = prefix {
+        out.push_str(p);
+        out.push(':');
+    }
+    out.push_str(name);
+}
+
+/// The namespace of an element that carries one but has no prefix and no
+/// explicit default-namespace declaration among its attributes: the writer
+/// emits that declaration so the serialized form resolves identically.
+fn synthesized_default_ns(e: &Element) -> Option<&str> {
+    if e.prefix.is_some() {
+        return None;
+    }
+    let has_default_decl = e
+        .attrs
+        .iter()
+        .any(|a| a.prefix.is_none() && a.name == "xmlns");
+    e.ns.as_deref().filter(|_| !has_default_decl)
+}
+
 fn write_open_tag(out: &mut String, e: &Element, close: bool) {
     out.push('<');
-    out.push_str(&e.raw_name());
+    write_name(out, &e.prefix, &e.name);
     for a in &e.attrs {
-        let _ = write!(out, " {}=\"{}\"", a.raw_name(), escape_attr(&a.value));
+        out.push(' ');
+        write_name(out, &a.prefix, &a.name);
+        out.push_str("=\"");
+        push_escaped(out, &a.value, ATTR_SPECIALS);
+        out.push('"');
     }
-    // If the element carries a namespace but no prefix and no explicit
-    // default-namespace declaration among its attributes, emit one so the
-    // serialized form resolves identically.
-    if e.prefix.is_none() {
-        if let Some(ns) = &e.ns {
-            let has_default_decl = e
-                .attrs
-                .iter()
-                .any(|a| a.prefix.is_none() && a.name == "xmlns");
-            if !has_default_decl {
-                let _ = write!(out, " xmlns=\"{}\"", escape_attr(ns));
-            }
-        }
+    if let Some(ns) = synthesized_default_ns(e) {
+        out.push_str(" xmlns=\"");
+        push_escaped(out, ns, ATTR_SPECIALS);
+        out.push('"');
     }
     out.push_str(if close { "/>" } else { ">" });
 }
 
 fn write_element(out: &mut String, e: &Element, indent: Option<usize>) {
-    if let Some(level) = indent {
-        for _ in 0..level {
-            out.push_str("  ");
-        }
-    }
+    indent_if(out, indent);
     if e.children.is_empty() {
         write_open_tag(out, e, true);
         return;
     }
     write_open_tag(out, e, false);
 
-    let text_only = e
-        .children
-        .iter()
-        .all(|n| matches!(n, Node::Text(_) | Node::CData(_)));
-    let child_indent = match indent {
-        Some(level) if !text_only => Some(level + 1),
-        _ => None,
-    };
+    // pretty-printing keeps text-only content on the element's line
+    let is_text = |n: &Node| matches!(n, Node::Text(_) | Node::CData(_));
+    let child_indent = indent
+        .filter(|_| !e.children.iter().all(is_text))
+        .map(|level| level + 1);
 
     for n in &e.children {
         if child_indent.is_some() {
@@ -80,7 +137,7 @@ fn write_element(out: &mut String, e: &Element, indent: Option<usize>) {
             Node::Element(c) => write_element(out, c, child_indent),
             Node::Text(t) => {
                 indent_if(out, child_indent);
-                out.push_str(&escape_text(t));
+                push_escaped(out, t, TEXT_SPECIALS);
             }
             Node::CData(t) => {
                 indent_if(out, child_indent);
@@ -106,16 +163,12 @@ fn write_element(out: &mut String, e: &Element, indent: Option<usize>) {
             }
         }
     }
-    if let Some(level) = indent {
-        if !text_only {
-            out.push('\n');
-            for _ in 0..level {
-                out.push_str("  ");
-            }
-        }
+    if child_indent.is_some() {
+        out.push('\n');
+        indent_if(out, indent);
     }
     out.push_str("</");
-    out.push_str(&e.raw_name());
+    write_name(out, &e.prefix, &e.name);
     out.push('>');
 }
 

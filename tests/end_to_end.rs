@@ -3,8 +3,8 @@
 //! SOAP messaging — exercised through the public API only.
 
 use whisper::{
-    ClientConfigTemplate, DeploymentConfig, EchoBackend, GroupSpec, ServiceBackend,
-    StudentRegistry, WhisperNet, Workload,
+    ClientActor, ClientConfigTemplate, DeploymentConfig, EchoBackend, GroupSpec, ServiceBackend,
+    StudentRegistry, WhisperMsg, WhisperNet, Workload,
 };
 use whisper_p2p::PeerId;
 use whisper_simnet::SimDuration;
@@ -63,6 +63,49 @@ fn unknown_student_yields_sender_fault_not_crash() {
     assert_eq!(fault.code, FaultCode::Sender);
     assert!(fault.reason.contains("not found"), "{}", fault.reason);
     assert_eq!(net.client_stats(client).faults, 1);
+}
+
+#[test]
+fn deeply_nested_request_yields_sender_fault_not_a_dead_proxy() {
+    let mut net = WhisperNet::student_scenario(2, 117);
+    net.run_for(SimDuration::from_secs(3));
+    let client = net.client_ids()[0];
+    let proxy = net.proxy_node();
+
+    // 35 KB that used to overflow the stack of whichever thread parsed it
+    let deep = format!(
+        "<soap:Envelope xmlns:soap=\"{}\"><soap:Body>{}{}</soap:Body></soap:Envelope>",
+        whisper_soap::SOAP_ENVELOPE_NS,
+        "<a>".repeat(5_000),
+        "</a>".repeat(5_000)
+    );
+    let now = net.now();
+    let request_id = net
+        .sim()
+        .node_mut::<ClientActor>(client)
+        .register_manual(now);
+    let request = WhisperMsg::SoapRequest {
+        request_id,
+        envelope: deep,
+    };
+    net.sim().inject(client, proxy, request);
+    net.run_for(SimDuration::from_secs(2));
+
+    let response = net.client_last_response(client).expect("fault arrived");
+    let env = Envelope::parse(&response).expect("well-formed SOAP fault");
+    let fault = env.as_fault().expect("is a fault");
+    assert_eq!(fault.code, FaultCode::Sender);
+    assert!(fault.reason.contains("nested deeper"), "{}", fault.reason);
+    assert_eq!(net.proxy_stats().faults_generated, 1);
+
+    // the proxy took no harm: the next request is served
+    net.submit_student_request(client, "u1006");
+    net.run_for(SimDuration::from_secs(2));
+    let s = net.client_stats(client);
+    assert_eq!((s.completed, s.faults), (2, 1), "{s:?}");
+    let response = net.client_last_response(client).expect("response arrived");
+    let env = Envelope::parse(&response).expect("well-formed SOAP");
+    assert_eq!(env.body_payload().expect("not a fault").name, "StudentInfo");
 }
 
 #[test]

@@ -4,12 +4,13 @@
 //! arbitrary crash patterns.
 
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 use whisper_election::{BullyConfig, BullyNode, ElectionProtocol};
 use whisper_ontology::{MatchDegree, Ontology};
 use whisper_p2p::{Advertisement, GroupId, PeerId, QosSpec, SemanticAdv};
 use whisper_simnet::{Histogram, SimDuration, SimTime};
-use whisper_soap::Envelope;
-use whisper_xml::{parse, Element, QName};
+use whisper_soap::{Envelope, Fault, FaultCode, HeaderBlock};
+use whisper_xml::{parse, scan_start_tags, Element, Node, QName};
 
 // ---------- generators ----------
 
@@ -37,17 +38,38 @@ fn text_strategy() -> impl Strategy<Value = String> {
     .prop_map(|cs| cs.into_iter().collect())
 }
 
+/// An element named `name`, half the time in a namespace it declares for
+/// itself under a prefix (the one spelling of a namespace that parses back
+/// to the tree it was built as).
+fn named(name: String, ns: Option<(String, String)>, attrs: Vec<(String, String)>) -> Element {
+    let mut e = match ns {
+        Some((prefix, uri)) => {
+            let mut e = Element::with_ns(name, uri.as_str());
+            e.prefix = Some(prefix.as_str().into());
+            e.declare_ns(&prefix, uri);
+            e
+        }
+        None => Element::new(name),
+    };
+    for (k, v) in attrs {
+        e.set_attr(k, v);
+    }
+    e
+}
+
+fn ns_strategy() -> impl Strategy<Value = Option<(String, String)>> {
+    proptest::option::of(("[a-zé]{1,3}", "urn:[a-z&é]{1,6}"))
+}
+
 fn leaf_element() -> impl Strategy<Value = Element> {
     (
         name_strategy(),
+        ns_strategy(),
         proptest::collection::vec((name_strategy(), text_strategy()), 0..3),
         proptest::option::of(text_strategy()),
     )
-        .prop_map(|(name, attrs, text)| {
-            let mut e = Element::new(name);
-            for (k, v) in attrs {
-                e.set_attr(k, v);
-            }
+        .prop_map(|(name, ns, attrs, text)| {
+            let mut e = named(name, ns, attrs);
             if let Some(t) = text {
                 if !t.is_empty() {
                     e.push_text(t);
@@ -57,24 +79,69 @@ fn leaf_element() -> impl Strategy<Value = Element> {
         })
 }
 
+/// Content that is not an element or text: kept verbatim by the parser,
+/// so it must not contain its own terminator.
+fn misc_node() -> impl Strategy<Value = Node> {
+    prop_oneof![
+        "[a-z<&é -]{0,8}".prop_map(|c| Node::Comment(c.replace("--", "-"))),
+        "[a-z<>&é ]{0,6}]{0,2}>?".prop_map(|c| Node::CData(c.replace("]]>", "]]"))),
+        (name_strategy(), "[a-z<é][a-z<é ?]{0,6}").prop_map(|(target, data)| {
+            Node::ProcessingInstruction {
+                target,
+                data: data.replace("?>", "?"),
+            }
+        }),
+    ]
+}
+
 fn element_strategy() -> impl Strategy<Value = Element> {
     leaf_element().prop_recursive(3, 24, 4, |inner| {
         (
             name_strategy(),
+            ns_strategy(),
             proptest::collection::vec((name_strategy(), text_strategy()), 0..3),
-            proptest::collection::vec(inner, 0..4),
+            proptest::collection::vec(
+                prop_oneof![inner.prop_map(Node::Element), misc_node()],
+                0..4,
+            ),
         )
-            .prop_map(|(name, attrs, children)| {
-                let mut e = Element::new(name);
-                for (k, v) in attrs {
-                    e.set_attr(k, v);
-                }
-                for c in children {
-                    e.push_child(c);
-                }
+            .prop_map(|(name, ns, attrs, children)| {
+                let mut e = named(name, ns, attrs);
+                e.children = children;
                 e
             })
     })
+}
+
+/// Any of the three bodies, under header blocks with and without the
+/// SOAP processing attributes.
+fn envelope_strategy() -> impl Strategy<Value = Envelope> {
+    let body = prop_oneof![
+        element_strategy().prop_map(Envelope::request),
+        (text_strategy(), proptest::option::of(leaf_element())).prop_map(|(reason, detail)| {
+            let fault = Fault::new(FaultCode::Receiver, reason);
+            Envelope::fault(match detail {
+                Some(d) => fault.with_detail(d),
+                None => fault,
+            })
+        }),
+        Just(Envelope::empty()),
+    ];
+    let header = (
+        leaf_element(),
+        any::<bool>(),
+        proptest::option::of(text_strategy()),
+    )
+        .prop_map(|(content, required, role)| {
+            let block = HeaderBlock::new(content);
+            let block = if required { block.required() } else { block };
+            match role {
+                Some(role) => block.for_role(role),
+                None => block,
+            }
+        });
+    (body, proptest::collection::vec(header, 0..3))
+        .prop_map(|(env, headers)| headers.into_iter().fold(env, Envelope::with_header))
 }
 
 /// A random DAG ontology: class `i` gets parents drawn from `0..i`.
@@ -112,13 +179,44 @@ proptest! {
     fn xml_print_parse_round_trip(e in element_strategy()) {
         let text = e.to_xml();
         let back = parse(&text).expect("own output must parse");
-        prop_assert_eq!(e, back);
+        prop_assert_eq!(&e, &back);
+        // the length pass and the appending writer are `to_xml` too
+        prop_assert_eq!(e.xml_len(), text.len());
+        let mut appended = String::from("before");
+        e.write_xml(&mut appended);
+        prop_assert_eq!(appended, format!("before{text}"));
     }
 
     #[test]
     fn xml_escape_unescape_identity(s in text_strategy()) {
         prop_assert_eq!(whisper_xml::unescape(&whisper_xml::escape_text(&s)), s.clone());
         prop_assert_eq!(whisper_xml::unescape(&whisper_xml::escape_attr(&s)), s);
+    }
+
+    /// The run-copying escapes are the character-by-character definition.
+    #[test]
+    fn xml_escapes_equal_their_char_by_char_definition(
+        runs in proptest::collection::vec(prop_oneof![text_strategy(), "\\PC{0,24}", "[\t\r\n\"<>&]{0,4}"], 0..4)
+    ) {
+        let s = runs.concat();
+        let by_char = |attr: bool| {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '&' => out.push_str("&amp;"),
+                    '<' => out.push_str("&lt;"),
+                    '>' => out.push_str("&gt;"),
+                    '"' if attr => out.push_str("&quot;"),
+                    '\n' if attr => out.push_str("&#10;"),
+                    '\t' if attr => out.push_str("&#9;"),
+                    '\r' if attr => out.push_str("&#13;"),
+                    _ => out.push(c),
+                }
+            }
+            out
+        };
+        prop_assert_eq!(whisper_xml::escape_text(&s), by_char(false));
+        prop_assert_eq!(whisper_xml::escape_attr(&s), by_char(true));
     }
 
     #[test]
@@ -135,6 +233,17 @@ proptest! {
         let env = Envelope::request(payload);
         let back = Envelope::parse(&env.to_xml_string()).expect("valid envelope");
         prop_assert_eq!(env, back);
+    }
+
+    /// Writing an envelope around its borrowed payload, and taking a
+    /// parsed one apart by move, are the tree-building routes they replace.
+    #[test]
+    fn soap_wire_text_is_the_element_trees(env in envelope_strategy()) {
+        let text = env.to_xml_string();
+        prop_assert_eq!(&text, &env.to_element().to_xml());
+        prop_assert_eq!(env.wire_size(), text.len());
+        let tree = parse(&text).expect("own output must parse");
+        prop_assert_eq!(Envelope::parse(&text), Envelope::from_element(&tree));
     }
 }
 
@@ -524,7 +633,9 @@ proptest! {
     fn parsers_never_panic_on_arbitrary_input(s in "\\PC*") {
         let _ = whisper_xml::parse(&s);
         let _ = whisper_xml::parse_document(&s);
+        let _ = scan_start_tags(&s, |_, _| ControlFlow::Continue(()));
         let _ = Envelope::parse(&s);
+        let _ = Envelope::peek_body(&s);
         let _ = whisper_wsdl::ServiceDescription::parse(&s);
         let _ = Advertisement::parse(&s);
         let _ = whisper_xml::unescape(&s);
@@ -559,7 +670,9 @@ proptest! {
     ) {
         let s: String = parts.concat();
         let _ = whisper_xml::parse(&s);
+        let _ = scan_start_tags(&s, |_, _| ControlFlow::Continue(()));
         let _ = Envelope::parse(&s);
+        let _ = Envelope::peek_body(&s);
         let _ = Advertisement::parse(&s);
         let _ = whisper_wsdl::ServiceDescription::parse(&s);
     }
