@@ -8,6 +8,11 @@
 //! ends the horizon with an agreed coordinator, exactly one recorded
 //! outage, and a measured MTTR — so a regression in any substrate's
 //! fault handling fails the job even before the numbers are compared.
+//! The simulator's MTTR is virtual time, exact and repeatable, so it is
+//! also held to the design: repair is failure detection alone (at most
+//! `failure_timeout + 2 × heartbeat_period`), the successor does not wait
+//! for an answer from the peer it has just buried. The wall-clock rows
+//! carry no time threshold.
 //!
 //! ```text
 //! fault_matrix [--plan FILE]
@@ -131,6 +136,7 @@ fn main() -> ExitCode {
     }
 
     let mut ok = rows.len() == 3;
+    let detection_bound = tuning.failure_timeout + tuning.heartbeat_period.saturating_mul(2);
     for r in &rows {
         // A custom plan may schedule any number of outages; the built-in
         // schedule must book exactly one with a measured repair.
@@ -142,6 +148,14 @@ fn main() -> ExitCode {
             eprintln!(
                 "FAIL {}: recovered={} failures={} mttr={:?}",
                 r.substrate, r.recovered, r.failures, r.mttr
+            );
+            ok = false;
+        }
+        if plan.is_none() && r.substrate == "sim" && r.mttr.is_some_and(|m| m > detection_bound) {
+            eprintln!(
+                "FAIL sim: mttr {:?} exceeds detection alone ({detection_bound}): \
+                 the election waited for a peer it had already buried",
+                r.mttr
             );
             ok = false;
         }

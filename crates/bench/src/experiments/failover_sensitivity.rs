@@ -1,10 +1,16 @@
 //! **Failover-latency sensitivity** — an ablation of the paper's §5
-//! diagnosis. The multi-second worst-case RTT decomposes into (1) failure
-//! detection (heartbeat period + failure timeout), (2) the Bully answer
-//! timeout, and (3) the proxy's request timeout before it re-binds. This
-//! experiment sweeps each knob to show which one buys the most: with
-//! aggressive tuning the worst case drops from seconds to hundreds of
-//! milliseconds — and the paper's defaults sit squarely on the slow end.
+//! diagnosis. In the paper's design the multi-second worst-case RTT
+//! decomposes into (1) failure detection (heartbeat period + failure
+//! timeout), (2) the Bully answer timeout, and (3) the proxy's request
+//! timeout before it re-binds, and this experiment sweeps each knob to
+//! show which one buys the most. Since failover goes by notification —
+//! the successor does not wait for an answer from the coordinator its
+//! detector has just buried, and announces itself to the proxy — only (1)
+//! is left on the path: the sweep now shows knobs (2) and (3) buying
+//! nothing (they bound the fallback paths only: a higher peer that is not
+//! suspected, a lost announcement), and detection tuning alone taking the
+//! worst case from seconds to hundreds of milliseconds. EXPERIMENTS.md E9
+//! keeps the rows of the paper's design beside the new ones.
 
 use crate::experiments::rtt::FailoverBreakdown;
 use crate::Table;

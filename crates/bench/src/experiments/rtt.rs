@@ -13,8 +13,12 @@
 //!    (four network hops plus processing);
 //! 3. **failover breakdown** — crash the coordinator mid-stream and split
 //!    the stalled request's latency into *detect+elect* (failure detection
-//!    plus Bully run) and *re-bind* (proxy timeout, member re-discovery,
-//!    retry) components.
+//!    plus Bully run) and *re-bind* components. In the paper's design the
+//!    Bully run waits out an answer timeout and the re-bind a proxy
+//!    request timeout (member re-discovery, retry); here the successor
+//!    skips the wait for the peer it has just buried and tells the proxy,
+//!    so both legs after detection are one hop (EXPERIMENTS.md E2 keeps
+//!    the old rows beside the new ones).
 
 use crate::Table;
 use whisper::{
@@ -146,7 +150,8 @@ pub struct FailoverBreakdown {
     /// Crash → all surviving members agree on a new coordinator
     /// (failure detection + Bully election).
     pub detect_and_elect: SimDuration,
-    /// Agreement → the stalled request completes (proxy timeout,
+    /// Agreement → the stalled request completes (the successor's
+    /// announcement re-binds the proxy; without it: proxy timeout,
     /// re-discovery of members, retry).
     pub rebind: SimDuration,
     /// Crash → response at the client (the paper's worst-case RTT).

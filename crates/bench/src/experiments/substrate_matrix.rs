@@ -13,9 +13,13 @@
 //! reality.
 //!
 //! MTTR here is detection + re-election (the proxy re-bind leg is
-//! measured separately by the RTT experiments): with heartbeat period
-//! `hb`, failure timeout `to` and Bully answer timeout `el`, every
-//! substrate should land in roughly `[to, to + hb + 2·el]`.
+//! measured separately by the RTT experiments). The survivor that
+//! outranks the others does not wait for an answer from the coordinator
+//! its detector has just buried, so with heartbeat period `hb` and
+//! failure timeout `to` every substrate should land in roughly
+//! `[to, to + 2·hb]` — on the simulator exactly, which `fault_matrix`
+//! enforces; before failover went by notification the Bully answer
+//! timeout `el` sat on top (`[to, to + hb + 2·el]`).
 
 use crate::Table;
 use whisper::deploy::{Booted, Deployment, Topology};

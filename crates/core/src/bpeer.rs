@@ -13,14 +13,16 @@ use crate::directory::Directory;
 use crate::msg::WhisperMsg;
 use crate::pulse::{self, PulseConfig};
 use crate::trace;
-use whisper_election::{BullyConfig, BullyNode, ElectionMsg, ElectionProtocol, Output};
+use whisper_election::{
+    BullyConfig, BullyNode, ElectionEvent, ElectionMsg, ElectionProtocol, Output,
+};
 use whisper_obs::{
     AvailabilityLedger, ElectionView, FlightHandle, NodeRole, NodeSnapshot, PulseEmitter, Recorder,
     SpanId,
 };
 use whisper_p2p::{
-    Advertisement, DiscoveryService, DiscoveryStrategy, FailureDetector, GroupId, P2pMessage,
-    PeerAdv, PeerId, PipeId, SemanticAdv,
+    AdvKind, Advertisement, DiscoveryService, DiscoveryStrategy, FailureDetector, GroupId,
+    P2pMessage, PeerAdv, PeerId, PipeId, SemanticAdv,
 };
 use whisper_simnet::{Actor, Context, Metrics, NodeId, SimDuration, SimTime, Wire};
 use whisper_soap::{Envelope, Fault, FaultCode};
@@ -32,6 +34,11 @@ const TOKEN_REPUBLISH: u64 = 3;
 const TOKEN_PULSE: u64 = 4;
 const ELECTION_TOKEN_BASE: u64 = 1 << 63;
 const RESPONSE_TOKEN_BASE: u64 = 1 << 62;
+
+/// Most proxies a b-peer remembers as users of its group (the ones a new
+/// coordinator announces itself to); further ones fall back to their
+/// request timeout.
+const MAX_KNOWN_PROXIES: usize = 8;
 
 /// Tuning knobs of a b-peer.
 ///
@@ -270,6 +277,12 @@ pub struct BPeerActor {
     next_stash: u64,
     /// Round-robin cursor for load sharing.
     rr_cursor: usize,
+    /// Proxies that route requests to this group, learned off the request
+    /// path: from their member queries and from requests this peer had to
+    /// redirect. When this peer wins an election it pushes its pipe
+    /// advertisement to them, so they re-bind without waiting out a
+    /// request timeout.
+    proxies: Vec<PeerId>,
     obs: Option<Recorder>,
     /// Per-kind traffic counters for the introspection snapshot.
     tx: Metrics,
@@ -323,6 +336,7 @@ impl BPeerActor {
             stash: std::collections::HashMap::new(),
             next_stash: 0,
             rr_cursor: 0,
+            proxies: Vec::new(),
             obs: None,
             tx: Metrics::new(),
             rx: Metrics::new(),
@@ -506,6 +520,13 @@ impl BPeerActor {
         self.fd.record(peer, now);
     }
 
+    /// Remembers `proxy` as a user of this group (bounded).
+    fn note_proxy(&mut self, proxy: PeerId) {
+        if self.proxies.len() < MAX_KNOWN_PROXIES && !self.proxies.contains(&proxy) {
+            self.proxies.push(proxy);
+        }
+    }
+
     fn route_election_output(&mut self, ctx: &mut Context<'_, WhisperMsg>, out: Output) {
         for (to, msg) in out.sends {
             self.send_to_peer(
@@ -521,7 +542,20 @@ impl BPeerActor {
             ctx.set_timer(t.delay, ELECTION_TOKEN_BASE | t.token);
         }
         for ev in out.events {
-            let whisper_election::ElectionEvent::CoordinatorElected(winner) = ev;
+            let winner = match ev {
+                ElectionEvent::CoordinatorElected(winner) => winner,
+                ElectionEvent::AnswerWaitSkipped => {
+                    if let Some(flight) = &self.flight {
+                        flight.note_election(
+                            ctx.now(),
+                            self.election.epoch(),
+                            Some(self.peer.value()),
+                            "skipped-suspect",
+                        );
+                    }
+                    continue;
+                }
+            };
             if let Some(ledger) = &self.ledger {
                 ledger.coordinator_elected(self.group.value(), winner.value(), ctx.now());
             }
@@ -535,9 +569,11 @@ impl BPeerActor {
             }
             if winner == self.peer {
                 // A new coordinator re-binds the group's request pipe
-                // (JXTA input-pipe creation); senders re-resolve it — the
-                // paper's "new binding between the SWS-proxy and the
-                // elected b-peer".
+                // (JXTA input-pipe creation) and pushes the advertisement
+                // to the proxies known to use the group, which re-bind on
+                // it; a proxy it does not reach re-resolves after its
+                // request timeout — the paper's "new binding between the
+                // SWS-proxy and the elected b-peer".
                 let name = self.pipe_name();
                 if let Some(flight) = &self.flight {
                     flight.note_bind(
@@ -552,7 +588,18 @@ impl BPeerActor {
                     name,
                     self.config.adv_lifetime,
                     ctx.now(),
+                    &self.proxies,
                 );
+                if !self.proxies.is_empty() {
+                    if let Some(flight) = &self.flight {
+                        flight.note_election(
+                            ctx.now(),
+                            self.election.epoch(),
+                            Some(self.peer.value()),
+                            "announced",
+                        );
+                    }
+                }
                 for s in sends {
                     self.send_to_peer(ctx, s.to, WhisperMsg::P2p(s.msg));
                 }
@@ -732,6 +779,7 @@ impl BPeerActor {
             // paper: "the b-peer found may not be the coordinator" — point
             // the proxy at the peer we believe is coordinating.
             let coordinator = self.election.coordinator().filter(|&c| c != self.peer);
+            self.note_proxy(reply_to);
             if let Some(rec) = &self.obs {
                 if let Some(req) = rec.lookup(trace::NS_PEER, trace::peer_key(reply_to, request_id))
                 {
@@ -927,8 +975,12 @@ impl Actor<WhisperMsg> for BPeerActor {
         // rightful highest-id coordinator), restart beacons. Requests
         // parked with the worker pool before the crash are abandoned —
         // their completions find no job entry and are dropped, and the
-        // proxy's timeout has already failed the requests over.
+        // proxy's timeout has already failed the requests over. So are
+        // responses deferred behind a service-time timer: the crash took
+        // the timer, and the virtual servers it booked are free again.
         self.jobs.clear();
+        self.stash.clear();
+        self.busy_slots.fill(SimTime::ZERO);
         self.fd = FailureDetector::new(self.config.failure_timeout);
         self.election = BullyNode::new(self.peer, self.members.iter().copied(), self.config.bully);
         // the fresh BullyNode must observe through the same recorder
@@ -970,6 +1022,12 @@ impl Actor<WhisperMsg> for BPeerActor {
                     self.fd.record(*hb_from, ctx.now());
                     if let Some(ledger) = &self.ledger {
                         ledger.peer_heartbeat(hb_from.value(), ctx.now());
+                    }
+                }
+                if let P2pMessage::Query { filter, origin, .. } = &m {
+                    // who enumerates this group's members binds to it
+                    if filter.kind == Some(AdvKind::Peer) && filter.group == Some(self.group) {
+                        self.note_proxy(*origin);
                     }
                 }
                 let (sends, _events) = self.disco.handle_message(from_peer, m, ctx.now());
@@ -1102,6 +1160,7 @@ impl Actor<WhisperMsg> for BPeerActor {
                         name,
                         self.config.adv_lifetime,
                         ctx.now(),
+                        &[],
                     );
                     for s in sends {
                         self.send_to_peer(ctx, s.to, WhisperMsg::P2p(s.msg));
@@ -1111,13 +1170,25 @@ impl Actor<WhisperMsg> for BPeerActor {
             }
             TOKEN_FD_CHECK => {
                 let now = ctx.now();
-                let suspected = self.fd.suspected(now);
+                // Heartbeats form a star, so silence is only evidence for
+                // peers whose beacons this node expects: members monitor
+                // the coordinator, the coordinator monitors every member.
+                // The fd map also holds stale entries from boot-time
+                // election traffic; acting on those would bury live
+                // members and oscillate the ledger against the beacons
+                // the coordinator keeps receiving.
+                let monitored = self.heartbeat_targets();
+                let silent = self.fd.suspected(now);
+                let suspected: Vec<PeerId> = silent
+                    .iter()
+                    .copied()
+                    .filter(|p| monitored.contains(p))
+                    .collect();
                 if let Some(flight) = &self.flight {
                     // record suspicion *transitions*: one miss when a
                     // monitored peer goes silent, one restore when it is
                     // heard from again
-                    let monitored = self.heartbeat_targets();
-                    for &p in suspected.iter().filter(|p| monitored.contains(p)) {
+                    for &p in &suspected {
                         if self.flight_suspects.insert(p.value()) {
                             let last_seen = self.fd.last_seen(p).unwrap_or(now);
                             flight.note_heartbeat_miss(now, p.value(), last_seen);
@@ -1127,7 +1198,7 @@ impl Actor<WhisperMsg> for BPeerActor {
                         .flight_suspects
                         .iter()
                         .copied()
-                        .filter(|&p| !suspected.iter().any(|s| s.value() == p))
+                        .filter(|&p| !silent.iter().any(|s| s.value() == p))
                         .collect();
                     for p in restored {
                         self.flight_suspects.remove(&p);
@@ -1135,19 +1206,15 @@ impl Actor<WhisperMsg> for BPeerActor {
                     }
                 }
                 if let Some(ledger) = &self.ledger {
-                    // Heartbeats form a star, so silence is only evidence
-                    // for peers whose beacons this node expects: members
-                    // monitor the coordinator, the coordinator monitors
-                    // every member. The fd map also holds stale entries
-                    // from boot-time election traffic; reporting those
-                    // would oscillate the ledger against the beacons the
-                    // coordinator keeps receiving.
-                    let monitored = self.heartbeat_targets();
-                    for &p in suspected.iter().filter(|p| monitored.contains(p)) {
+                    for &p in &suspected {
                         let last_seen = self.fd.last_seen(p).unwrap_or(now);
                         ledger.peer_down(p.value(), last_seen, now);
                     }
                 }
+                // An election does not wait for an answer from a peer this
+                // sweep holds silent; one already waiting may end here.
+                let out = self.election.set_suspects(suspected.iter().copied(), now);
+                self.route_election_output(ctx, out);
                 if let Some(coord) = self.election.coordinator() {
                     if coord != self.peer && suspected.contains(&coord) {
                         // the coordinator went silent: the service is down

@@ -13,8 +13,10 @@
 //!    discovery query);
 //! 3. enumerate the group's members (peer advertisements) and bind to the
 //!    presumed coordinator;
-//! 4. forward the request; follow [`WhisperMsg::PeerRedirect`]s; on
-//!    timeout, **re-bind** — re-query the members and try the next
+//! 4. forward the request; follow [`WhisperMsg::PeerRedirect`]s; when a
+//!    newly elected coordinator announces the group's pipe, **re-bind** to
+//!    it and move what was pending at its predecessor; failing that, on
+//!    timeout, re-bind by re-querying the members and trying the next
 //!    candidate (the paper's costly failover path);
 //! 5. relay the response (or a `<soap:fault>` after exhausting attempts)
 //!    back to the client.
@@ -34,8 +36,8 @@ use whisper_obs::{
 };
 use whisper_ontology::Ontology;
 use whisper_p2p::{
-    AdvFilter, AdvKind, Advertisement, DiscoveryService, DiscoveryStrategy, GroupId, PeerId,
-    QueryId, SemanticAdv,
+    AdvFilter, AdvKind, Advertisement, DiscoveryService, DiscoveryStrategy, GroupId, P2pMessage,
+    PeerId, QueryId, SemanticAdv,
 };
 use whisper_simnet::{Actor, Context, Histogram, Metrics, NodeId, SimDuration, SimTime, Wire};
 use whisper_soap::{BodyKind, Envelope, Fault, FaultCode};
@@ -116,7 +118,9 @@ impl Default for ProxyConfig {
 pub struct ProxyStats {
     /// Remote discovery queries issued.
     pub discoveries: u64,
-    /// Re-binds after a bound peer stopped answering.
+    /// Times a group's binding moved: dropped when a request timed out on
+    /// the bound peer, or replaced on a coordinator's announcement. Counts
+    /// bindings moved, not the requests moved with them.
     pub rebinds: u64,
     /// Redirects followed to reach a coordinator.
     pub redirects_followed: u64,
@@ -983,6 +987,9 @@ impl SwsProxyActor {
             if let Some(b) = self.bindings.get(&group) {
                 Some((b.peer, b.delegated, b.shadows))
             } else {
+                if let Some(rec) = &self.obs {
+                    rec.incr("proxy.member_scans", 1);
+                }
                 let dead = &p.dead_peers;
                 let mut members: Vec<PeerId> = self
                     .disco
@@ -1263,38 +1270,110 @@ impl SwsProxyActor {
                 // The bound peer is unresponsive: re-bind. Try the next
                 // cached member; when none are left, re-discover members
                 // (a new coordinator may have been elected meanwhile).
-                self.stats.rebinds += 1;
                 if let Some((rec, req)) = self.obs_of(request_id) {
                     rec.end_named(req, "proxy.invoke", ctx.now());
-                    rec.incr("proxy.rebinds", 1);
+                    rec.incr("proxy.attempt_timeouts", 1);
                 }
-                let group = self.pending.get(&request_id).and_then(|p| p.group);
-                if let Some(p) = self.pending.get_mut(&request_id) {
-                    p.dead_peers.push(dead);
-                }
-                if let Some(g) = group {
-                    self.bindings.remove(&g);
-                    let next = self.pending.get_mut(&request_id).and_then(|p| {
-                        while let Some(c) = p.candidates.pop() {
-                            if !p.dead_peers.contains(&c) {
-                                return Some(c);
-                            }
-                        }
-                        None
-                    });
-                    match next {
-                        Some(next_target) => {
-                            self.forward_to_peer(ctx, request_id, next_target, g, false, None)
-                        }
-                        // Consult the caches / the network for members we
-                        // have not tried yet; a new coordinator may exist.
-                        None => self.bind_or_find_members(ctx, request_id, g),
-                    }
-                } else {
+                let p = self.pending.get_mut(&request_id).expect("checked above");
+                p.dead_peers.push(dead);
+                let Some(g) = p.group else {
                     self.advance_from_group_search(ctx, request_id);
+                    return;
+                };
+                // The binding goes only while it points at a peer this
+                // request found dead. Once the first timeout of a burst
+                // (or an announcement) has moved it, the requests behind
+                // follow the move instead of each dropping the good
+                // binding and scanning the member cache again.
+                let bound = self.bindings.get(&g).map(|b| b.peer);
+                if bound.is_some_and(|b| !p.dead_peers.contains(&b)) {
+                    self.bind_or_find_members(ctx, request_id, g);
+                    return;
+                }
+                let next =
+                    std::iter::from_fn(|| p.candidates.pop()).find(|c| !p.dead_peers.contains(c));
+                if bound.is_some() {
+                    self.bindings.remove(&g);
+                    self.note_rebind();
+                }
+                match next {
+                    Some(next_target) => {
+                        self.forward_to_peer(ctx, request_id, next_target, g, false, None)
+                    }
+                    // Consult the caches / the network for members we
+                    // have not tried yet; a new coordinator may exist.
+                    None => self.bind_or_find_members(ctx, request_id, g),
                 }
             }
             PendingState::Backoff(_) => {}
+        }
+    }
+
+    /// Counts one binding move (dropped after a timeout, or replaced on an
+    /// announcement).
+    fn note_rebind(&mut self) {
+        self.stats.rebinds += 1;
+        if let Some(rec) = &self.obs {
+            rec.incr("proxy.rebinds", 1);
+        }
+    }
+
+    /// A coordinator announced that it now owns `group`'s request pipe.
+    ///
+    /// For a group this proxy has bound, that is a hint, never an order:
+    /// the binding moves to the owner (unless the owner serves a fail-slow
+    /// cooldown), and a wrong hint costs one [`WhisperMsg::PeerRedirect`].
+    /// When the owner's id is *lower* than the bound peer's, the bound
+    /// peer must be gone — under Bully a live higher peer would have won —
+    /// so everything pending at it is forwarded again at once, each as one
+    /// more attempt of the usual ladder. A *higher* owner is the old
+    /// coordinator bullying back while the interim one still lives: its
+    /// in-flight work will be answered, so only the binding moves.
+    fn handle_pipe_announcement(
+        &mut self,
+        ctx: &mut Context<'_, WhisperMsg>,
+        group: GroupId,
+        owner: PeerId,
+    ) {
+        let now = ctx.now();
+        let announced = Binding {
+            peer: owner,
+            delegated: false,
+            shadows: None,
+        };
+        let Some(bound) = self.bindings.get(&group).copied() else {
+            return;
+        };
+        if bound == announced || peer_suspect(&self.suspects, owner, now) {
+            return;
+        }
+        self.bindings.insert(group, announced);
+        if bound.peer == owner {
+            return; // a fail-slow bypass whose target now coordinates
+        }
+        self.note_rebind();
+        if let Some(flight) = &self.flight {
+            flight.note_bind(now, format!("group-{}", group.value()), owner.value(), true);
+        }
+        if owner > bound.peer {
+            return;
+        }
+        let mut stranded: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| {
+                p.group == Some(group)
+                    && p.state == PendingState::AwaitResponse(bound.peer)
+                    && !p.dead_peers.contains(&owner)
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        stranded.sort_unstable(); // map order must not leak into send order
+        for request_id in stranded {
+            if let Some(p) = self.pending.get_mut(&request_id) {
+                p.dead_peers.push(bound.peer);
+            }
+            self.forward_to_peer(ctx, request_id, owner, group, false, None);
         }
     }
 
@@ -1369,6 +1448,18 @@ impl Actor<WhisperMsg> for SwsProxyActor {
             }
             WhisperMsg::P2p(m) => {
                 let from_peer = self.directory.peer_of(from).unwrap_or(self.peer);
+                // a pipe advertisement pushed by its own owner: the
+                // group's new coordinator announcing itself (the pipe id
+                // is the group's)
+                let announced = match &m {
+                    P2pMessage::Publish {
+                        adv: Advertisement::Pipe(pipe),
+                        ..
+                    } if pipe.owner == from_peer => {
+                        Some((GroupId::new(pipe.pipe.value()), pipe.owner))
+                    }
+                    _ => None,
+                };
                 let (sends, events) = self.disco.handle_message(from_peer, m, ctx.now());
                 for s in sends {
                     self.send_to_peer(ctx, s.to, WhisperMsg::P2p(s.msg));
@@ -1376,6 +1467,9 @@ impl Actor<WhisperMsg> for SwsProxyActor {
                 for ev in events {
                     let whisper_p2p::DiscoveryEvent::Results { query, advs } = ev;
                     self.handle_discovery_results(ctx, query, advs);
+                }
+                if let Some((group, owner)) = announced {
+                    self.handle_pipe_announcement(ctx, group, owner);
                 }
             }
             WhisperMsg::PeerResponse {

@@ -8,7 +8,8 @@
 //! * an attempt nobody answers is followed by the next rung of the
 //!   re-bind ladder (or the final fault) exactly `request_timeout` later;
 //! * an attempt cut short by a late reply to an earlier one never fires
-//!   (the rebind count is exactly the attempts that were waited out);
+//!   (the `proxy.attempt_timeouts` count is exactly the attempts that
+//!   were waited out; a binding moves at most once per such attempt);
 //! * the engine never holds more than one armed sweep timer;
 //! * once the load has drained the proxy holds no per-request state and
 //!   the simulator goes idle within one `request_timeout`.
@@ -345,6 +346,8 @@ proptest! {
         for i in 0..PEERS {
             proxy.add_known_peer(peer_of(i));
         }
+        let rec = whisper_obs::Recorder::new();
+        proxy.set_recorder(rec.clone());
         assert_eq!(sim.add_node(proxy), proxy_node);
         let mut payload = Element::new("StudentInformation");
         payload.push_child(Element::with_text("StudentID", "u1004"));
@@ -386,7 +389,12 @@ proptest! {
         }
         let proxy = sim.node::<SwsProxyActor>(proxy_node);
         let stats = proxy.stats();
-        prop_assert_eq!(stats.rebinds, waited_out, "a deadline fired for a finished attempt");
+        prop_assert_eq!(
+            rec.counter("proxy.attempt_timeouts"),
+            waited_out,
+            "a deadline fired for a finished attempt"
+        );
+        prop_assert!(stats.rebinds <= waited_out, "a binding moved without a timeout");
         prop_assert_eq!(stats.duplicate_responses, surplus);
         prop_assert_eq!(stats.faults_generated, faults);
         prop_assert_eq!(proxy.backlog(), ProxyBacklog::default());

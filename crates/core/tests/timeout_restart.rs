@@ -6,8 +6,8 @@
 //! again.
 
 use whisper::{
-    ClientConfigTemplate, DeploymentConfig, GroupSpec, ProxyBacklog, ProxyConfig, ServiceBackend,
-    StudentRegistry, WhisperNet, Workload,
+    BPeerConfig, ClientConfigTemplate, DeploymentConfig, GroupSpec, ProxyBacklog, ProxyConfig,
+    ServiceBackend, StudentRegistry, WhisperNet, Workload,
 };
 use whisper_simnet::{SimDuration, SimTime};
 use whisper_xml::Element;
@@ -222,4 +222,64 @@ fn client_down_through_its_warmup_starts_over() {
     assert_all_sent_once_and_settled(&net, 5, down);
     let warmup = SimDuration::from_secs(2);
     assert_eq!(net.client_outcomes(client)[0].sent_at, down.1 + warmup);
+}
+
+/// A crash takes the b-peer's timers, so a response it had deferred
+/// behind its service time is never sent: the restart must drop the
+/// deferred entries and free the virtual servers they booked, or the
+/// node reports a queue forever and serves its next requests late.
+#[test]
+fn bpeer_restart_drops_deferred_responses_and_frees_its_servers() {
+    let service_time = SimDuration::from_millis(200);
+    let service = whisper_wsdl::samples::student_management();
+    let op = service.operation("StudentInformation").expect("sample op");
+    let backend: Box<dyn ServiceBackend> =
+        Box::new(StudentRegistry::operational_db().with_sample_data());
+    let mut net = WhisperNet::build(DeploymentConfig {
+        seed: 46,
+        groups: vec![GroupSpec::from_operation("Group", op, vec![backend])],
+        bpeer: BPeerConfig {
+            processing_time: service_time,
+            ..BPeerConfig::default()
+        },
+        ..DeploymentConfig::default()
+    })
+    .expect("well-formed");
+    net.run_for(SimDuration::from_secs(3));
+    let client = net.client_ids()[0];
+    let bpeer = net.group_nodes(0)[0];
+    net.submit_student_request(client, "u1000"); // warms the binding
+    net.run_for(SimDuration::from_secs(1));
+    assert_eq!(net.client_stats(client).completed, 1);
+
+    // three requests in service: the single server is booked 600 ms ahead
+    for _ in 0..3 {
+        net.submit_student_request(client, "u1001");
+    }
+    net.run_for(SimDuration::from_millis(10));
+    assert_eq!(net.bpeer(bpeer).scope_snapshot(net.now()).queue_depth, 3);
+    net.kill_node(bpeer);
+    net.run_for(SimDuration::from_millis(10));
+    net.restart_node(bpeer);
+    net.run_for(SimDuration::from_micros(1)); // lets `on_restart` run
+    assert_eq!(net.bpeer(bpeer).scope_snapshot(net.now()).queue_depth, 0);
+
+    // a request arriving now is served in one service time, not behind
+    // the bookings of the three that died with the crash
+    let restarted_at = net.now();
+    let id = net.submit_student_request(client, "u1002") as usize;
+    net.run_for(service_time + SimDuration::from_millis(10));
+    let answered_at = net.client_outcomes(client)[id]
+        .completed_at
+        .expect("served in one service time");
+    assert!(answered_at.since(restarted_at) >= service_time);
+
+    // the three caught by the crash ride the proxy's timeout ladder (and
+    // fault: their only replica failed them once); in the end nothing is
+    // queued anywhere
+    net.run_for(SimDuration::from_secs(10));
+    let s = net.client_stats(client);
+    assert_eq!((s.completed, s.in_flight()), (5, 0), "{s:?}");
+    assert_eq!(net.bpeer(bpeer).scope_snapshot(net.now()).queue_depth, 0);
+    assert_eq!(net.proxy().backlog(), ProxyBacklog::default());
 }

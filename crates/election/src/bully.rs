@@ -14,7 +14,9 @@ use whisper_simnet::{SimDuration, SimTime};
 /// bounds how long a suppressed initiator waits for the eventual
 /// `Coordinator` announcement before re-starting the election. These two
 /// timeouts are exactly the "considerably high" re-election delay the paper
-/// blames for multi-second worst-case RTTs.
+/// blames for multi-second worst-case RTTs. The answer wait is paid only
+/// for higher peers the host's failure detector has not already declared
+/// silent (see [`BullyNode::set_suspects`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BullyConfig {
     /// Wait for `Answer` after sending `Election`.
@@ -72,6 +74,9 @@ pub struct BullyNode {
     /// Incremented whenever outstanding timers become stale.
     epoch: u64,
     config: BullyConfig,
+    /// Peers the host's failure detector holds silent right now (see
+    /// [`BullyNode::set_suspects`]).
+    suspects: BTreeSet<PeerId>,
     /// Statistics: how many elections this node started.
     elections_started: u64,
     /// When the last election this node observed concluded.
@@ -96,6 +101,7 @@ impl BullyNode {
             phase: Phase::Idle,
             epoch: 0,
             config,
+            suspects: BTreeSet::new(),
             elections_started: 0,
             last_concluded: None,
             obs: None,
@@ -168,12 +174,46 @@ impl BullyNode {
         }
     }
 
-    fn higher_members(&self) -> Vec<PeerId> {
+    /// Replaces the set of peers the host's failure detector currently
+    /// suspects (the host calls this on every detector sweep; a message
+    /// from a peer clears its suspicion in between).
+    ///
+    /// The answer wait *is* a failure detector — silence for
+    /// `answer_timeout` buries a higher peer — so it adds nothing for a
+    /// peer the heartbeat detector has already buried: an election neither
+    /// probes nor waits for a suspected higher peer, and a wait already
+    /// running ends here once every higher peer is suspected. A higher
+    /// peer that is not suspected still gets the full `answer_timeout`.
+    pub fn set_suspects(
+        &mut self,
+        suspects: impl IntoIterator<Item = PeerId>,
+        now: SimTime,
+    ) -> Output {
+        self.suspects = suspects.into_iter().collect();
+        if self.phase == Phase::AwaitingAnswers && self.unsuspected_higher().is_empty() {
+            return self.declare_victory_unanswered(now);
+        }
+        Output::none()
+    }
+
+    /// Higher members an election has to hear out.
+    fn unsuspected_higher(&self) -> Vec<PeerId> {
         self.members
             .iter()
             .copied()
-            .filter(|&p| p > self.me)
+            .filter(|p| *p > self.me && !self.suspects.contains(p))
             .collect()
+    }
+
+    /// Victory over higher members that are all suspected: concluded
+    /// without the answer wait, and marked so for the host.
+    fn declare_victory_unanswered(&mut self, now: SimTime) -> Output {
+        if let Some(rec) = &self.obs {
+            rec.incr("election.skipped_suspect", 1);
+        }
+        let mut out = self.declare_victory(now);
+        out.events.insert(0, ElectionEvent::AnswerWaitSkipped);
+        out
     }
 
     fn other_members(&self) -> Vec<PeerId> {
@@ -224,9 +264,13 @@ impl ElectionProtocol for BullyNode {
         }
         self.elections_started += 1;
         self.obs_begin(now);
-        let higher = self.higher_members();
+        let higher = self.unsuspected_higher();
         if higher.is_empty() {
-            return self.declare_victory(now);
+            return if self.members.last() == Some(&self.me) {
+                self.declare_victory(now)
+            } else {
+                self.declare_victory_unanswered(now)
+            };
         }
         self.phase = Phase::AwaitingAnswers;
         self.epoch += 1;
@@ -244,6 +288,7 @@ impl ElectionProtocol for BullyNode {
     }
 
     fn on_message(&mut self, from: PeerId, msg: ElectionMsg, now: SimTime) -> Output {
+        self.suspects.remove(&from); // a sign of life
         match msg {
             ElectionMsg::Election { from: initiator } => {
                 debug_assert_eq!(from, initiator);
@@ -520,6 +565,94 @@ mod tests {
         // the paper's re-election delay lands in the duration histogram
         let h = rec.duration_histogram("election.duration").unwrap();
         assert_eq!(h.max(), Some(SimDuration::from_secs(1)));
+    }
+
+    fn skipped_then_elected(me: u64) -> Vec<ElectionEvent> {
+        vec![
+            ElectionEvent::AnswerWaitSkipped,
+            ElectionEvent::CoordinatorElected(PeerId::new(me)),
+        ]
+    }
+
+    #[test]
+    fn suspected_higher_peer_is_neither_probed_nor_awaited() {
+        let mut n = node(2, &[1, 2, 3]);
+        assert_eq!(n.set_suspects(ids(&[3]), t0()), Output::none());
+        let out = n.start_election(t0());
+        assert!(n.is_coordinator(), "won at once");
+        assert!(out.timers.is_empty());
+        assert_eq!(out.events, skipped_then_elected(2));
+        // the announcement still goes to everyone, the suspect included
+        assert_eq!(out.sends.len(), 2);
+        assert!(out
+            .sends
+            .iter()
+            .all(|(_, m)| matches!(m, ElectionMsg::Coordinator { .. })));
+    }
+
+    #[test]
+    fn later_suspect_update_cuts_the_answer_wait_short() {
+        let mut n = node(2, &[1, 2, 3]);
+        // the lower survivor's sweep came first: its Election reaches us
+        // before our own detector has swept
+        let out = n.on_message(
+            PeerId::new(1),
+            ElectionMsg::Election {
+                from: PeerId::new(1),
+            },
+            t0(),
+        );
+        assert_eq!(out.timers.len(), 1, "waiting for peer 3's answer");
+        let answer_token = out.timers[0].token;
+        assert!(!n.is_coordinator());
+        // our sweep, up to one heartbeat later
+        let out = n.set_suspects(ids(&[3]), SimTime::from_micros(50_000));
+        assert!(n.is_coordinator());
+        assert_eq!(out.events, skipped_then_elected(2));
+        // the wait's timer is stale now
+        assert_eq!(n.on_timer(answer_token, t0()), Output::none());
+        // and a sweep outside an election concludes nothing
+        assert_eq!(n.set_suspects(ids(&[3]), t0()), Output::none());
+    }
+
+    #[test]
+    fn unsuspected_higher_peer_still_gets_the_full_answer_wait() {
+        let mut n = node(1, &[1, 2, 3]);
+        let _ = n.set_suspects(ids(&[3]), t0());
+        let out = n.start_election(t0());
+        // only the peer believed alive is probed, and waited for
+        assert_eq!(out.sends.len(), 1);
+        assert_eq!(out.sends[0].0, PeerId::new(2));
+        assert_eq!(out.timers.len(), 1);
+        assert_eq!(out.timers[0].delay, BullyConfig::default().answer_timeout);
+        // re-stating the same suspicion does not end the wait
+        assert_eq!(n.set_suspects(ids(&[3]), t0()), Output::none());
+        assert!(!n.is_coordinator());
+        // silence for the whole answer_timeout does, the old way
+        let out = n.on_timer(out.timers[0].token, t0());
+        assert_eq!(
+            out.events,
+            vec![ElectionEvent::CoordinatorElected(PeerId::new(1))]
+        );
+    }
+
+    #[test]
+    fn sign_of_life_clears_the_suspicion() {
+        let mut n = node(2, &[1, 2, 3]);
+        let _ = n.set_suspects(ids(&[3]), t0());
+        // peer 3 is heard from after all (anything it sends counts)
+        let _ = n.on_message(
+            PeerId::new(3),
+            ElectionMsg::Answer {
+                from: PeerId::new(3),
+            },
+            t0(),
+        );
+        let out = n.start_election(SimTime::from_micros(1));
+        assert!(!n.is_coordinator(), "peer 3 is probed and awaited again");
+        assert_eq!(out.sends.len(), 1);
+        assert_eq!(out.sends[0].0, PeerId::new(3));
+        assert_eq!(out.timers.len(), 1);
     }
 
     #[test]

@@ -150,6 +150,10 @@ pub struct TimerRequest {
 pub enum ElectionEvent {
     /// A coordinator was agreed on (possibly this node itself).
     CoordinatorElected(PeerId),
+    /// Bully: this node won without the answer wait, because every higher
+    /// peer was already suspected (see `BullyNode::set_suspects`). Precedes
+    /// the `CoordinatorElected` of the same victory.
+    AnswerWaitSkipped,
 }
 
 /// Everything an election call wants the host to do.

@@ -136,7 +136,11 @@ struct Sample {
     at: SimTime,
     /// Interval length in microseconds.
     interval_us: u64,
-    /// Fraction of the interval the service was down, 0..=1.
+    /// Downtime booked during the interval, as a fraction of its length.
+    /// Above 1 when the ledger backdates: an outage is booked from the
+    /// coordinator's last sign of life, so the tick that learns of it can
+    /// book more downtime than it is long (all of it, when the successor
+    /// takes over in the very sweep that detects the failure).
     avail_bad: f64,
     /// 1.0 when the p99 exceeded the bound during this interval.
     lat_bad: f64,
@@ -241,7 +245,7 @@ impl SloEngine {
         self.samples.push_back(Sample {
             at: now,
             interval_us,
-            avail_bad: (down_us as f64 / interval_us as f64).min(1.0),
+            avail_bad: down_us as f64 / interval_us as f64,
             lat_bad: match p99 {
                 Some(p) if p > self.cfg.p99_target => 1.0,
                 _ => 0.0,
@@ -484,6 +488,31 @@ mod tests {
         }
         assert!(events.iter().any(|e| !e.is_fired()));
         assert!(!slo.any_firing());
+    }
+
+    #[test]
+    fn backdated_outage_booked_in_one_tick_counts_in_full() {
+        // detection and repair fall into the same 50 ms tick: the ledger
+        // books 300 ms of downtime at once, backdated to the last heartbeat
+        let mut slo = SloEngine::new(SloConfig::default());
+        let mut events = Vec::new();
+        for ms in (0..=4000).step_by(50) {
+            let down = if ms >= 1300 { 300 } else { 0 };
+            events.extend(slo.tick(t(ms), d(down), None));
+        }
+        assert!(
+            matches!(events[0], SloEvent::Fired { objective: "availability", at, .. } if at == t(1300)),
+            "{events:?}"
+        );
+        // the one sample leaves the fast window a second later
+        assert!(
+            matches!(events[1], SloEvent::Cleared { objective: "availability", at } if at == t(2300)),
+            "{events:?}"
+        );
+        assert_eq!(events.len(), 2);
+        // 300 ms of a 600 ms budget, not the 50 ms the tick was long
+        let avail = &slo.status()[0];
+        assert!((avail.budget_remaining - 0.5).abs() < 1e-9, "{avail:?}");
     }
 
     #[test]

@@ -388,20 +388,32 @@ impl DiscoveryService {
 
     /// Binds the receiving end of a pipe to this peer and publishes the
     /// corresponding [`PipeAdv`]: JXTA's "create input pipe". Returns the
-    /// messages to transmit (rendezvous push, if configured).
+    /// messages to transmit: the rendezvous push, if configured, and one
+    /// [`P2pMessage::Publish`] of the same advertisement to each peer in
+    /// `announce_to` — the senders known to hold the pipe's previous
+    /// binding, who would otherwise only re-resolve after a timeout.
     pub fn bind_input_pipe(
         &mut self,
         pipe: PipeId,
         name: impl Into<String>,
         lifetime: SimDuration,
         now: SimTime,
+        announce_to: &[PeerId],
     ) -> Vec<Send> {
         let adv = Advertisement::Pipe(PipeAdv {
             pipe,
             name: name.into(),
             owner: self.me,
         });
-        self.publish(adv, lifetime, now)
+        let mut sends = self.publish(adv.clone(), lifetime, now);
+        sends.extend(announce_to.iter().map(|&to| Send {
+            to,
+            msg: P2pMessage::Publish {
+                adv: adv.clone(),
+                lifetime,
+            },
+        }));
+        sends
     }
 
     /// Resolves a pipe by name against the local cache: JXTA's "create
@@ -611,7 +623,13 @@ mod tests {
         let me = PeerId::new(4);
         let mut d = DiscoveryService::new(me, DiscoveryStrategy::Flood);
         assert!(d.resolve_pipe("requests", t(0)).is_none());
-        let out = d.bind_input_pipe(PipeId::new(9), "requests", SimDuration::from_secs(30), t(0));
+        let out = d.bind_input_pipe(
+            PipeId::new(9),
+            "requests",
+            SimDuration::from_secs(30),
+            t(0),
+            &[],
+        );
         assert!(out.is_empty(), "flood publishes locally");
         let adv = d.resolve_pipe("requests", t(0)).expect("bound");
         assert_eq!(adv.owner, me);
@@ -686,8 +704,32 @@ mod tests {
     fn pipe_publication_reaches_the_rendezvous() {
         let rdv = PeerId::new(9);
         let mut d = DiscoveryService::new(PeerId::new(1), DiscoveryStrategy::Rendezvous(rdv));
-        let out = d.bind_input_pipe(PipeId::new(1), "p", SimDuration::from_secs(5), t(0));
+        let out = d.bind_input_pipe(PipeId::new(1), "p", SimDuration::from_secs(5), t(0), &[]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].to, rdv);
+    }
+
+    #[test]
+    fn pipe_binding_is_announced_to_the_named_senders() {
+        let me = PeerId::new(2);
+        let mut d = DiscoveryService::new(me, DiscoveryStrategy::Flood);
+        let senders = [PeerId::new(100), PeerId::new(101)];
+        let out = d.bind_input_pipe(
+            PipeId::new(1),
+            "p",
+            SimDuration::from_secs(5),
+            t(0),
+            &senders,
+        );
+        assert_eq!(out.iter().map(|s| s.to).collect::<Vec<_>>(), senders);
+        for s in &out {
+            let P2pMessage::Publish { adv, lifetime } = &s.msg else {
+                panic!("not a publish: {:?}", s.msg);
+            };
+            assert_eq!(adv.as_pipe().expect("pipe adv").owner, me);
+            assert_eq!(*lifetime, SimDuration::from_secs(5));
+        }
+        // the advertisement a receiver caches is the one bound locally
+        assert_eq!(d.resolve_pipe("p", t(0)).expect("bound").owner, me);
     }
 }
