@@ -721,21 +721,30 @@ impl Deployment {
         Ok((wiring.wire(spawner)?, ledger))
     }
 
+    /// Wires the deployment onto `spawner` and turns it into the running
+    /// network with `start` — the one body of the three boots below.
+    fn boot_on<S: Spawner<WhisperMsg>, N>(
+        &self,
+        mut spawner: S,
+        start: impl FnOnce(S) -> std::io::Result<N>,
+    ) -> Result<Booted<N>, WhisperError> {
+        let (topology, ledger) = self.wire_onto(&mut spawner)?;
+        let flight = topology.flight.clone();
+        Ok(Booted {
+            net: start(spawner)?,
+            topology,
+            ledger,
+            flight,
+        })
+    }
+
     /// Boots on the deterministic simulator (paper-testbed link model).
     ///
     /// # Errors
     ///
     /// See [`ScenarioWiring::wire`].
     pub fn boot_sim(&self, seed: u64) -> Result<Booted<SimNet<WhisperMsg>>, WhisperError> {
-        let mut net: SimNet<WhisperMsg> = SimNet::with_link(seed, SwitchedLan::paper_testbed());
-        let (topology, ledger) = self.wire_onto(&mut net)?;
-        let flight = topology.flight.clone();
-        Ok(Booted {
-            net,
-            topology,
-            ledger,
-            flight,
-        })
+        self.boot_on(SimNet::with_link(seed, SwitchedLan::paper_testbed()), Ok)
     }
 
     /// Boots on OS threads and crossbeam channels (wall-clock time).
@@ -744,15 +753,7 @@ impl Deployment {
     ///
     /// See [`ScenarioWiring::wire`].
     pub fn boot_threadnet(&self) -> Result<Booted<ThreadNet<WhisperMsg>>, WhisperError> {
-        let mut builder = ThreadNetBuilder::new();
-        let (topology, ledger) = self.wire_onto(&mut builder)?;
-        let flight = topology.flight.clone();
-        Ok(Booted {
-            net: builder.start(),
-            topology,
-            ledger,
-            flight,
-        })
+        self.boot_on(ThreadNetBuilder::new(), |b| Ok(b.start()))
     }
 
     /// Boots on real TCP loopback sockets (wall-clock time, every message
@@ -763,15 +764,7 @@ impl Deployment {
     /// See [`ScenarioWiring::wire`]; additionally [`WhisperError::Io`] for
     /// socket errors while opening the loopback mesh.
     pub fn boot_tcp(&self) -> Result<Booted<TcpNet<WhisperMsg>>, WhisperError> {
-        let mut builder = TcpNetBuilder::new();
-        let (topology, ledger) = self.wire_onto(&mut builder)?;
-        let flight = topology.flight.clone();
-        Ok(Booted {
-            net: builder.start()?,
-            topology,
-            ledger,
-            flight,
-        })
+        self.boot_on(TcpNetBuilder::new(), TcpNetBuilder::start)
     }
 }
 

@@ -710,61 +710,52 @@ impl<M: Wire> SimNet<M> {
         match action {
             FaultAction::Crash(id) => {
                 let slot = &mut self.nodes[id.index()];
-                if slot.up {
-                    slot.up = false;
-                    slot.epoch += 1;
-                    self.record_fault(id, &format!("kill {id}"));
+                if !slot.up {
+                    return;
                 }
+                slot.up = false;
+                slot.epoch += 1;
             }
             FaultAction::Restart(id) => {
                 let slot = &mut self.nodes[id.index()];
-                if !slot.up {
-                    slot.up = true;
-                    self.record_fault(id, &format!("restart {id}"));
-                    self.dispatch(id, Hook::Restart);
+                if slot.up {
+                    return;
                 }
+                slot.up = true;
             }
             FaultAction::Block(a, b) => {
                 self.blocked.insert((a, b));
                 self.blocked.insert((b, a));
-                self.record_fault(a, &format!("block {a} {b}"));
-                self.record_fault(b, &format!("block {a} {b}"));
             }
             FaultAction::Unblock(a, b) => {
                 self.blocked.remove(&(a, b));
                 self.blocked.remove(&(b, a));
-                self.record_fault(a, &format!("unblock {a} {b}"));
-                self.record_fault(b, &format!("unblock {a} {b}"));
             }
-            FaultAction::Degrade(a, b, spec) => {
-                if spec.is_noop() {
-                    self.degraded.remove(&(a, b));
-                    self.degraded.remove(&(b, a));
-                } else {
-                    self.degraded.insert((a, b), spec);
-                    self.degraded.insert((b, a), spec);
-                }
-                self.record_fault(a, &format!("degrade {a} {b}"));
-                self.record_fault(b, &format!("degrade {a} {b}"));
+            FaultAction::Degrade(a, b, spec) if !spec.is_noop() => {
+                self.degraded.insert((a, b), spec);
+                self.degraded.insert((b, a), spec);
             }
-            FaultAction::Restore(a, b) => {
+            FaultAction::Degrade(a, b, _) | FaultAction::Restore(a, b) => {
                 self.degraded.remove(&(a, b));
                 self.degraded.remove(&(b, a));
-                self.record_fault(a, &format!("restore {a} {b}"));
-                self.record_fault(b, &format!("restore {a} {b}"));
             }
             FaultAction::Stall(node, d) => {
                 self.stalled_until.insert(node, self.clock + d);
-                self.record_fault(node, &format!("stall {node}"));
             }
-            FaultAction::Slow(node, f) => {
-                if f <= 100 {
-                    self.slow.remove(&node);
-                } else {
-                    self.slow.insert(node, f);
-                }
-                self.record_fault(node, &format!("slow {node}"));
+            FaultAction::Slow(node, f) if f > 100 => {
+                self.slow.insert(node, f);
             }
+            FaultAction::Slow(node, _) => {
+                self.slow.remove(&node);
+            }
+        }
+        let (label, a, b) = action.mark();
+        self.record_fault(a, &label);
+        if let Some(b) = b {
+            self.record_fault(b, &label);
+        }
+        if let FaultAction::Restart(id) = action {
+            self.dispatch(id, Hook::Restart);
         }
     }
 

@@ -73,6 +73,30 @@ pub enum FaultAction {
     Slow(NodeId, u32),
 }
 
+impl FaultAction {
+    /// What a substrate writes into the flight ring when it applies this
+    /// action — `"kill n2"`, `"block n0 n3"`, `"degrade n0 n3"`, … — and
+    /// the node(s) whose rings carry it. Incident tooling matches on these
+    /// words, so every substrate takes them from here.
+    pub(crate) fn mark(&self) -> (String, NodeId, Option<NodeId>) {
+        let (verb, a, b) = match *self {
+            FaultAction::Crash(n) => ("kill", n, None),
+            FaultAction::Restart(n) => ("restart", n, None),
+            FaultAction::Block(a, b) => ("block", a, Some(b)),
+            FaultAction::Unblock(a, b) => ("unblock", a, Some(b)),
+            FaultAction::Degrade(a, b, _) => ("degrade", a, Some(b)),
+            FaultAction::Restore(a, b) => ("restore", a, Some(b)),
+            FaultAction::Stall(n, _) => ("stall", n, None),
+            FaultAction::Slow(n, _) => ("slow", n, None),
+        };
+        let label = match b {
+            Some(b) => format!("{verb} {a} {b}"),
+            None => format!("{verb} {a}"),
+        };
+        (label, a, b)
+    }
+}
+
 /// A schedule of faults to inject into a run on any substrate.
 ///
 /// Build the plan up front, then install it with [`SimNet::apply_faults`]
@@ -535,6 +559,38 @@ mod tests {
             let e = FaultPlan::parse_text(text).expect_err(text);
             assert!(e.contains(needle), "{text}: {e}");
             assert!(e.contains("line 1"), "{text}: {e}");
+        }
+    }
+
+    #[test]
+    fn marks_name_the_action_and_the_rings_that_carry_it() {
+        let (n0, n3) = (NodeId(0), NodeId(3));
+        let spec = DegradeSpec::default();
+        let stall = SimDuration::from_millis(5);
+        for (action, label, rings) in [
+            (FaultAction::Crash(n3), "kill n3", (n3, None)),
+            (FaultAction::Restart(n3), "restart n3", (n3, None)),
+            (FaultAction::Block(n0, n3), "block n0 n3", (n0, Some(n3))),
+            (
+                FaultAction::Unblock(n0, n3),
+                "unblock n0 n3",
+                (n0, Some(n3)),
+            ),
+            (
+                FaultAction::Degrade(n3, n0, spec),
+                "degrade n3 n0",
+                (n3, Some(n0)),
+            ),
+            (
+                FaultAction::Restore(n3, n0),
+                "restore n3 n0",
+                (n3, Some(n0)),
+            ),
+            (FaultAction::Stall(n3, stall), "stall n3", (n3, None)),
+            (FaultAction::Slow(n3, 250), "slow n3", (n3, None)),
+        ] {
+            let (got, a, b) = action.mark();
+            assert_eq!((got.as_str(), (a, b)), (label, rings));
         }
     }
 

@@ -1,7 +1,8 @@
 //! # whisper-simnet
 //!
 //! A deterministic discrete-event network simulator, plus a real-time
-//! threaded transport, for the Whisper protocol stack.
+//! threaded runtime over channels or sockets, for the Whisper protocol
+//! stack.
 //!
 //! The paper benchmarks Whisper on nine LAN-connected PCs. This crate
 //! substitutes a calibrated simulation: protocol logic is written against the
@@ -10,11 +11,12 @@
 //! injects crash/restart/partition faults. Every run is reproducible from a
 //! seed, which makes message-count experiments (the paper's Figure 4) exact.
 //!
-//! The same actors can be run over OS threads and real channels with
-//! [`threadnet::ThreadNet`] to obtain wall-clock numbers for Criterion
-//! benches, or over real TCP loopback sockets with [`tcpnet::TcpNet`],
-//! where every inter-node message is encoded to bytes
-//! (`whisper-wire`), framed, and parsed back on the receiving side.
+//! The same actors can be run in real time, one OS thread per node, by the
+//! [`live`] runtime: over channels as [`threadnet::ThreadNet`] to obtain
+//! wall-clock numbers for Criterion benches, or over real TCP loopback
+//! sockets as [`tcpnet::TcpNet`], where every inter-node message is
+//! encoded to bytes (`whisper-wire`), framed, and parsed back on the
+//! receiving side. The two are one runtime with two sets of links.
 //!
 //! # Examples
 //!
@@ -62,6 +64,7 @@ mod engine;
 mod event;
 mod faults;
 mod link;
+pub mod live;
 mod metrics;
 mod substrate;
 pub mod tcpnet;

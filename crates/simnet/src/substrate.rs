@@ -11,7 +11,8 @@
 //! all three.
 //!
 //! Booting is symmetric: the [`Spawner`] trait is implemented by
-//! [`SimNet`] itself and by the two real-time builders, so scenario wiring
+//! [`SimNet`] itself and by the live runtime's one builder (under either
+//! of its names), so scenario wiring
 //! code can place boxed actors on any substrate without knowing which one
 //! it is building (node ids are assigned in registration order
 //! everywhere).
@@ -24,6 +25,9 @@
 //! therefore produces the same ordered fault sequence everywhere, which is
 //! what makes cross-substrate MTTR/availability numbers comparable.
 //!
+//! The impls of both traits for the two real-time substrates are one pair,
+//! in [`live`](crate::live), generic over the transport.
+//!
 //! [`Actor`]: crate::Actor
 //! [`SimNet`]: crate::SimNet
 //! [`ThreadNet`]: crate::threadnet::ThreadNet
@@ -32,18 +36,15 @@
 use crate::engine::{DynActor, FlightHook, NetHook, NodeId, SimNet};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::metrics::MetricsSnapshot;
-use crate::tcpnet::{TcpNet, TcpNetBuilder};
-use crate::threadnet::{ThreadNet, ThreadNetBuilder};
 use crate::time::{SimDuration, SimTime};
 use crate::Wire;
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use std::any::Any;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use whisper_wire::{Decode, Encode};
 
 /// A place boxed actors can be registered before (or while) running —
-/// [`SimNet`] directly, or the builders of the two real-time substrates.
+/// [`SimNet`] directly, or the builder of the real-time substrates.
 ///
 /// Scenario wiring code written against `Spawner` (see the deployment
 /// layer in `whisper-core`) boots identically on all three runtimes.
@@ -82,34 +83,6 @@ impl<M: Wire> Spawner<M> for SimNet<M> {
 
     fn set_flight_hook(&mut self, node: NodeId, hook: Box<dyn FlightHook + Send>) {
         SimNet::set_flight_hook(self, node, hook);
-    }
-}
-
-impl<M: Wire> Spawner<M> for ThreadNetBuilder<M> {
-    fn add_boxed(&mut self, actor: Box<dyn DynActor<M>>) -> NodeId {
-        ThreadNetBuilder::add_boxed(self, actor)
-    }
-
-    fn set_net_hook(&mut self, hook: Box<dyn NetHook + Send>) {
-        ThreadNetBuilder::set_net_hook(self, hook);
-    }
-
-    fn set_flight_hook(&mut self, node: NodeId, hook: Box<dyn FlightHook + Send>) {
-        ThreadNetBuilder::set_flight_hook(self, node, hook);
-    }
-}
-
-impl<M: Wire + Encode + Decode> Spawner<M> for TcpNetBuilder<M> {
-    fn add_boxed(&mut self, actor: Box<dyn DynActor<M>>) -> NodeId {
-        TcpNetBuilder::add_boxed(self, actor)
-    }
-
-    fn set_net_hook(&mut self, hook: Box<dyn NetHook + Send>) {
-        TcpNetBuilder::set_net_hook(self, hook);
-    }
-
-    fn set_flight_hook(&mut self, node: NodeId, hook: Box<dyn FlightHook + Send>) {
-        TcpNetBuilder::set_flight_hook(self, node, hook);
     }
 }
 
@@ -209,106 +182,6 @@ impl<M: Wire> Substrate<M> for SimNet<M> {
 
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics().snapshot()
-    }
-}
-
-impl<M: Wire> Substrate<M> for ThreadNet<M> {
-    fn name(&self) -> &'static str {
-        "threadnet"
-    }
-
-    fn node_count(&self) -> usize {
-        ThreadNet::node_count(self)
-    }
-
-    fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
-        ThreadNet::inject(self, from, to, msg);
-    }
-
-    fn kill_node(&mut self, node: NodeId) {
-        ThreadNet::kill_node(self, node);
-    }
-
-    fn restart_node(&mut self, node: NodeId) {
-        ThreadNet::restart_node(self, node);
-    }
-
-    fn block_link(&mut self, a: NodeId, b: NodeId) {
-        ThreadNet::block_link(self, a, b);
-    }
-
-    fn unblock_link(&mut self, a: NodeId, b: NodeId) {
-        ThreadNet::unblock_link(self, a, b);
-    }
-
-    fn apply_action(&mut self, action: FaultAction) {
-        ThreadNet::apply_action(self, action);
-    }
-
-    fn execute_plan(&mut self, plan: &FaultPlan) {
-        ThreadNet::execute_plan(self, plan);
-    }
-
-    fn advance(&mut self, d: SimDuration) {
-        std::thread::sleep(Duration::from_micros(d.as_micros()));
-    }
-
-    fn now(&self) -> SimTime {
-        ThreadNet::now(self)
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        ThreadNet::metrics_snapshot(self)
-    }
-}
-
-impl<M: Wire> Substrate<M> for TcpNet<M> {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn node_count(&self) -> usize {
-        TcpNet::node_count(self)
-    }
-
-    fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
-        TcpNet::inject(self, from, to, msg);
-    }
-
-    fn kill_node(&mut self, node: NodeId) {
-        TcpNet::kill_node(self, node);
-    }
-
-    fn restart_node(&mut self, node: NodeId) {
-        TcpNet::restart_node(self, node);
-    }
-
-    fn block_link(&mut self, a: NodeId, b: NodeId) {
-        TcpNet::block_link(self, a, b);
-    }
-
-    fn unblock_link(&mut self, a: NodeId, b: NodeId) {
-        TcpNet::unblock_link(self, a, b);
-    }
-
-    fn apply_action(&mut self, action: FaultAction) {
-        TcpNet::apply_action(self, action);
-    }
-
-    fn execute_plan(&mut self, plan: &FaultPlan) {
-        TcpNet::execute_plan(self, plan);
-    }
-
-    fn advance(&mut self, d: SimDuration) {
-        std::thread::sleep(Duration::from_micros(d.as_micros()));
-    }
-
-    fn now(&self) -> SimTime {
-        TcpNet::now(self)
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        TcpNet::metrics_snapshot(self)
     }
 }
 

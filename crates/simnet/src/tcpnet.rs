@@ -1,54 +1,46 @@
-//! Real TCP loopback transport for the same [`Actor`] objects.
+//! Real TCP loopback transport for the same [`Actor`](crate::Actor)s.
 //!
-//! [`TcpNet`] runs each actor on its own thread exactly like
+//! [`TcpNet`] is the [live runtime](crate::live) over [`TcpTransport`]:
+//! each actor on its own thread exactly like
 //! [`ThreadNet`](crate::threadnet::ThreadNet) — same node loop, same
-//! timers — but every inter-node message crosses a real TCP socket on
-//! `127.0.0.1`: the sender encodes to bytes with
-//! [`whisper_wire::Encode`], writes a length-prefixed frame, and a
-//! per-link reader thread decodes the frame back into a message for the
-//! destination actor. Kernel socket buffers, syscalls, and the codec are
-//! all on the hot path, which is what makes the measured RTT comparable to
-//! the paper's LAN numbers rather than a channel-hop artifact.
+//! timers, same send pipeline and fault controller — but every inter-node
+//! message crosses a real TCP socket on `127.0.0.1`: the sender encodes to
+//! bytes with [`whisper_wire::Encode`], writes a length-prefixed frame,
+//! and a per-link reader thread decodes the frame back into a message for
+//! the destination actor. Kernel socket buffers, syscalls, and the codec
+//! are all on the hot path, which is what makes the measured RTT
+//! comparable to the paper's LAN numbers rather than a channel-hop
+//! artifact.
 //!
-//! Topology is a full mesh: one TCP connection per ordered node pair,
-//! established up front in [`TcpNetBuilder::start`]. Self-sends and control
-//! messages (injection, shutdown) use the node's in-process channel — they
-//! are a driver convenience, not part of the measured message plane.
+//! What this module owns is the links. Topology is a full mesh: one TCP
+//! connection per ordered node pair, established up front in
+//! [`TcpNetBuilder::start`]. Self-sends and injections never touch a
+//! socket (the runtime puts them in the node's mailbox).
 //!
 //! Faults are real here: killing a node shuts down **both halves** of
 //! every socket touching it, so a peer writer blocked on the dead node's
-//! full receive buffer gets an I/O error instead of hanging, and
-//! [`TcpNet::restart_node`] re-dials fresh socket pairs to every live
-//! peer before the node's `on_restart` hook runs. Link-pair blocks are
-//! gated sender-side before the socket write, with the same partition
-//! accounting as the simulator's engine. A whole
-//! [`FaultPlan`] can be replayed in wall-clock time via
-//! [`TcpNet::execute_plan`].
+//! full receive buffer gets an I/O error instead of hanging, and a restart
+//! re-dials fresh socket pairs to every live peer before the node's
+//! `on_restart` hook runs. Gray corruption flips real frame bytes, so the
+//! real decoder chokes on them.
 //!
-//! Decoding is hardened end to end: a frame that is oversized, truncated,
-//! or fails to parse terminates that link's current socket (the TCP
-//! analogue of a broken peer) without panicking the node.
+//! Decoding is hardened end to end: a frame that fails to parse is a
+//! counted, flight-recorded link fault, and one that is oversized or
+//! truncated ends that link's current socket (the TCP analogue of a broken
+//! peer) — neither panics the node.
 
-use crate::chaos::{ChaosDecision, ChaosState, DelayPump};
-use crate::engine::FlightHook;
-use crate::engine::{Actor, NetHook, NodeId, TraceOutcome};
-use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::substrate::FaultDriver;
-use crate::threadnet::{
-    BoxHolder, Ctl, FaultState, FlightTable, Holder, Outbound, Shared, SharedHook, Spawnable,
-};
-use crate::time::SimTime;
-use crate::{DynActor, FaultAction, FaultPlan, Wire};
-use crossbeam::channel::{unbounded, Sender};
+use crate::engine::{NodeId, TraceOutcome};
+use crate::live::{Hub, LiveNet, LiveNetBuilder, Transport};
+use crate::metrics::Metrics;
+use crate::Wire;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
-use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use whisper_wire::{
     decode_clocked, read_frame_into, write_frame_vectored, write_frames_vectored, Decode, Encode,
 };
@@ -74,8 +66,7 @@ const READ_BUF_BYTES: usize = 64 * 1024;
 /// One ordered link's live socket state: the writer half used by the
 /// sender, and a clone of the current reader socket kept so a kill can
 /// shut the connection down from outside the reader thread. `None` means
-/// the link is down (endpoint killed, or decode error) until a restart
-/// re-dials it.
+/// the link is down (endpoint killed) until a restart re-dials it.
 ///
 /// `queue` holds fully-encoded frames (trailing Lamport varint included)
 /// from senders that found the writer busy; the current lock holder
@@ -87,9 +78,84 @@ struct LinkSlot {
     queue: Mutex<VecDeque<Vec<u8>>>,
 }
 
+impl LinkSlot {
+    /// The one way a frame reaches a link's socket. Writes the caller's
+    /// frame — `own`, or with `None` the one it encoded into the link's
+    /// scratch — behind the frames parked while the writer was last busy,
+    /// all in one vectored write, preserving link FIFO; an idle link
+    /// (empty queue) takes exactly the single-frame path. Then leaves
+    /// through [`LinkSlot::drain_after`], like every holder of the writer
+    /// must.
+    ///
+    /// A write error means the peer's link is gone (e.g. during
+    /// shutdown), and a down link writes nothing: the frame was accounted
+    /// when it was encoded and is simply lost, like on a real LAN.
+    fn write_then_drain<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, Option<Link>>,
+        own: Option<&[u8]>,
+        metrics: &Mutex<Metrics>,
+    ) {
+        if let Some(Link { stream, scratch }) = guard.as_mut() {
+            let own = own.unwrap_or(scratch);
+            let queued: Vec<Vec<u8>> = self.queue.lock().drain(..).collect();
+            if queued.is_empty() {
+                let _ = write_frame_vectored(stream, own);
+            } else {
+                let frames: Vec<&[u8]> = queued
+                    .iter()
+                    .map(Vec::as_slice)
+                    .chain(std::iter::once(own))
+                    .collect();
+                let _ = write_frames_vectored(stream, &frames);
+                metrics.lock().on_batch_flush(queued.len());
+            }
+        }
+        self.drain_after(guard, metrics);
+    }
+
+    /// Flushes frames that peers queued while `guard` was held, then
+    /// releases the writer. The release re-check loop is the flat-
+    /// combining liveness protocol: a peer that enqueues just as the
+    /// holder's last drain saw an empty queue will either observe the
+    /// writer free (and take over the flush itself) or be covered by the
+    /// holder re-acquiring here — no frame is stranded either way, as
+    /// long as *every* holder releases the writer through this function.
+    fn drain_after<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, Option<Link>>,
+        metrics: &Mutex<Metrics>,
+    ) {
+        loop {
+            loop {
+                let batch: Vec<Vec<u8>> = self.queue.lock().drain(..).collect();
+                if batch.is_empty() {
+                    break;
+                }
+                // A down link discards the batch: the frames were already
+                // accounted at enqueue time, matching a direct write that
+                // fails mid-flight.
+                if let Some(Link { stream, .. }) = guard.as_mut() {
+                    let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+                    let _ = write_frames_vectored(stream, &refs);
+                    metrics.lock().on_batch_flush(batch.len());
+                }
+            }
+            drop(guard);
+            if self.queue.lock().is_empty() {
+                return;
+            }
+            match self.writer.try_lock() {
+                Some(g) => guard = g,
+                None => return, // the new holder drains behind itself
+            }
+        }
+    }
+}
+
 /// The full mesh of ordered links, indexed `from * n + to` (diagonal
-/// unused), shared between the outbound path, the running network handle
-/// and any fault drivers.
+/// unused), shared between the senders, the fault controller and the
+/// chaos pump.
 struct LinkTable {
     n: usize,
     slots: Vec<LinkSlot>,
@@ -109,357 +175,25 @@ impl LinkTable {
     fn slot(&self, from: usize, to: usize) -> &LinkSlot {
         &self.slots[from * self.n + to]
     }
-}
 
-/// TCP-backed transport: encode, frame, write to the link's socket.
-struct TcpOutbound<M> {
-    links: Arc<LinkTable>,
-    /// In-process channels for self-sends (no socket to ourselves).
-    loopback: Vec<Sender<Ctl<M>>>,
-    metrics: Arc<Mutex<Metrics>>,
-    faults: Arc<FaultState>,
-    hook: Option<SharedHook>,
-    flights: Arc<FlightTable>,
-    /// Wall-clock origin shared with the node loops, so hook timestamps
-    /// line up with actor-visible [`SimTime`]s.
-    epoch: Instant,
-    chaos: Arc<ChaosState>,
-    pump: Arc<DelayPump>,
-    pump_seq: Arc<AtomicU64>,
-}
-
-impl<M> TcpOutbound<M> {
-    fn now_ts(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+    /// Installs a fresh socket pair on the `from → to` link and returns
+    /// the read half for the link's reader thread.
+    fn dial(&self, from: usize, to: usize) -> io::Result<TcpStream> {
+        let (writer, reader) = connect_pair()?;
+        let slot = self.slot(from, to);
+        *slot.reader.lock() = Some(reader.try_clone()?);
+        *slot.writer.lock() = Some(Link {
+            stream: writer,
+            scratch: Vec::new(),
+        });
+        Ok(reader)
     }
 
-    fn notify_hook(&self, from: NodeId, to: NodeId, kind: &'static str, bytes: usize) {
-        if let Some(hook) = &self.hook {
-            let now = SimTime::from_micros(self.epoch.elapsed().as_micros() as u64);
-            hook.lock().on_send(now, from, to, kind, bytes);
-        }
-    }
-
-    fn notify_drop(&self, from: NodeId, to: NodeId, kind: &'static str, reason: TraceOutcome) {
-        if let Some(hook) = &self.hook {
-            let now = SimTime::from_micros(self.epoch.elapsed().as_micros() as u64);
-            hook.lock().on_drop(now, from, to, kind, reason);
-        }
-    }
-
-    /// Flushes frames that peers queued on `slot` while `guard` was held,
-    /// then releases the writer. The release re-check loop is the flat-
-    /// combining liveness protocol: a peer that enqueues just as the
-    /// holder's last drain saw an empty queue will either observe the
-    /// writer free (and take over the flush itself) or be covered by the
-    /// holder re-acquiring here — no frame is stranded either way.
-    fn drain_after<'a>(&self, slot: &'a LinkSlot, mut guard: MutexGuard<'a, Option<Link>>) {
-        loop {
-            loop {
-                let batch: Vec<Vec<u8>> = {
-                    let mut q = slot.queue.lock();
-                    if q.is_empty() {
-                        break;
-                    }
-                    q.drain(..).collect()
-                };
-                // A down link discards the batch: the frames were already
-                // accounted at enqueue time, matching a direct write that
-                // fails mid-flight.
-                if let Some(Link { stream, .. }) = guard.as_mut() {
-                    let refs: Vec<&[u8]> = batch.iter().map(|f| f.as_slice()).collect();
-                    let _ = write_frames_vectored(stream, &refs);
-                    self.metrics.lock().on_batch_flush(batch.len());
-                }
-            }
-            drop(guard);
-            if slot.queue.lock().is_empty() {
-                return;
-            }
-            match slot.writer.try_lock() {
-                Some(g) => guard = g,
-                None => return, // the new holder drains behind itself
-            }
-        }
-    }
-}
-
-impl<M: Wire + Encode> TcpOutbound<M> {
-    /// Encodes `msg` into an owned frame with full send accounting
-    /// (metrics, net hook, flight stamp with trailing clock varint) — the
-    /// chaos paths use this because the frame outlives the send call.
-    fn encode_accounted(&self, from: NodeId, to: NodeId, msg: &M) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(msg.wire_size() + 8);
-        msg.encode_into(&mut frame);
-        let body = frame.len();
-        self.metrics.lock().on_send(msg.kind(), body);
-        self.notify_hook(from, to, msg.kind(), body);
-        if self.flights.armed(from) {
-            let clock =
-                self.flights
-                    .on_send(from, self.now_ts(), to, msg.kind(), body, msg.correlation());
-            clock.encode_into(&mut frame);
-        }
-        frame
-    }
-}
-
-impl<M: Wire + Encode> Outbound<M> for TcpOutbound<M> {
-    fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        if from == to {
-            let size = msg.wire_size();
-            self.metrics.lock().on_send(msg.kind(), size);
-            self.notify_hook(from, to, msg.kind(), size);
-            let clock = if self.flights.armed(from) {
-                self.flights
-                    .on_send(from, self.now_ts(), to, msg.kind(), size, msg.correlation())
-            } else {
-                0
-            };
-            if let Some(tx) = self.loopback.get(to.index()) {
-                if tx.send(Ctl::Msg(from, msg, clock)).is_ok() {
-                    self.metrics.lock().on_deliver();
-                }
-            }
-            return;
-        }
-        // Fault gates first, mirroring the engine's send-time drops: a
-        // blocked pair partitions the message, a down destination swallows
-        // it — in both cases before any socket work.
-        if self.faults.is_blocked(from, to) {
-            let size = msg.wire_size();
-            let kind = msg.kind();
-            {
-                let mut m = self.metrics.lock();
-                m.on_send(kind, size);
-                m.on_drop_partition();
-            }
-            self.notify_hook(from, to, kind, size);
-            if self.flights.armed(from) {
-                self.flights
-                    .on_send(from, self.now_ts(), to, kind, size, msg.correlation());
-            }
-            self.notify_drop(from, to, kind, TraceOutcome::Partitioned);
-            return;
-        }
-        if !self.faults.is_up(to) {
-            let size = msg.wire_size();
-            let kind = msg.kind();
-            {
-                let mut m = self.metrics.lock();
-                m.on_send(kind, size);
-                m.on_drop_down();
-            }
-            self.notify_hook(from, to, kind, size);
-            if self.flights.armed(from) {
-                self.flights
-                    .on_send(from, self.now_ts(), to, kind, size, msg.correlation());
-            }
-            self.notify_drop(from, to, kind, TraceOutcome::DestinationDown);
-            return;
-        }
-        // Gray degradation interposes here — after the fault gates, before
-        // any socket work — as a frame-level mangler: chaos loss never
-        // reaches the wire, corruption flips bits in the encoded frame so
-        // the receiver hits a *real* decode error, and delay/duplication
-        // park the finished frame on the pump thread. The healthy path
-        // costs one atomic load inside `decide`.
-        match self.chaos.decide(from.0, to.0) {
-            ChaosDecision::Clean => {}
-            ChaosDecision::Drop => {
-                let size = msg.wire_size();
-                let kind = msg.kind();
-                {
-                    let mut m = self.metrics.lock();
-                    m.on_send(kind, size);
-                    m.on_lost();
-                }
-                self.notify_hook(from, to, kind, size);
-                if self.flights.armed(from) {
-                    self.flights
-                        .on_send(from, self.now_ts(), to, kind, size, msg.correlation());
-                }
-                self.notify_drop(from, to, kind, TraceOutcome::Lost);
-                return;
-            }
-            ChaosDecision::Corrupt => {
-                let mut frame = self.encode_accounted(from, to, &msg);
-                // Damage both ends of the payload: the first byte carries
-                // the message tag, so the decode on the far side fails
-                // rather than resynthesizing a different valid message.
-                if let Some(first) = frame.first_mut() {
-                    *first ^= 0xFF;
-                }
-                if frame.len() > 1 {
-                    // Only on multi-byte frames: on a 1-byte payload this
-                    // would re-flip the same byte back to valid.
-                    let last = frame.len() - 1;
-                    frame[last] ^= 0xFF;
-                }
-                let slot = self.links.slot(from.index(), to.index());
-                let mut guard = slot.writer.lock();
-                if let Some(Link { stream, .. }) = guard.as_mut() {
-                    let _ = write_frame_vectored(stream, &frame);
-                }
-                self.drain_after(slot, guard);
-                return;
-            }
-            ChaosDecision::Deliver { delay, duplicate } => {
-                let frame = self.encode_accounted(from, to, &msg);
-                let copies = if duplicate { 2 } else { 1 };
-                for i in 0..copies {
-                    let links = Arc::clone(&self.links);
-                    let f = frame.clone();
-                    let (fi, ti) = (from.index(), to.index());
-                    let seq = self.pump_seq.fetch_add(1, Ordering::Relaxed);
-                    self.pump.after(
-                        delay + Duration::from_micros(200 * i as u64),
-                        seq,
-                        Box::new(move || {
-                            let slot = links.slot(fi, ti);
-                            let mut guard = slot.writer.lock();
-                            if let Some(Link { stream, .. }) = guard.as_mut() {
-                                let _ = write_frame_vectored(stream, &f);
-                            }
-                        }),
-                    );
-                }
-                return;
-            }
-        }
-        let slot = self.links.slot(from.index(), to.index());
-        match slot.writer.try_lock() {
-            Some(mut guard) => {
-                match guard.as_mut() {
-                    Some(Link { stream, scratch }) => {
-                        scratch.clear();
-                        msg.encode_into(scratch);
-                        // Metrics take the message length *before* the trailing
-                        // Lamport varint, so byte accounting equals `wire_size()`
-                        // on every substrate; the clock rides as framing overhead
-                        // like the length prefix does.
-                        self.metrics.lock().on_send(msg.kind(), scratch.len());
-                        self.notify_hook(from, to, msg.kind(), scratch.len());
-                        // Unhooked senders emit the pre-clock frame layout — no
-                        // trailing varint, no wall-clock read — so a cluster with
-                        // no recorders pays one slot load per send. Receivers take
-                        // the zero-clock compat path, which is exact: a sender
-                        // with no ring has no events to order against.
-                        if self.flights.armed(from) {
-                            let clock = self.flights.on_send(
-                                from,
-                                self.now_ts(),
-                                to,
-                                msg.kind(),
-                                scratch.len(),
-                                msg.correlation(),
-                            );
-                            clock.encode_into(scratch);
-                        }
-                        // Frames parked while the writer was last busy go out
-                        // *ahead* of ours in one vectored write, preserving
-                        // link FIFO; an idle link (empty queue) takes exactly
-                        // the pre-batching single-frame path. A write error
-                        // means the peer's link is gone (e.g. during
-                        // shutdown); the frames are simply lost, like on a
-                        // real LAN.
-                        let queued: Vec<Vec<u8>> = {
-                            let mut q = slot.queue.lock();
-                            if q.is_empty() {
-                                Vec::new()
-                            } else {
-                                q.drain(..).collect()
-                            }
-                        };
-                        if queued.is_empty() {
-                            let _ = write_frame_vectored(stream, scratch);
-                        } else {
-                            let refs: Vec<&[u8]> = queued
-                                .iter()
-                                .map(|f| f.as_slice())
-                                .chain(std::iter::once(scratch.as_slice()))
-                                .collect();
-                            let _ = write_frames_vectored(stream, &refs);
-                            self.metrics.lock().on_batch_flush(queued.len());
-                        }
-                    }
-                    None => {
-                        // No live link (torn down, not yet re-dialed): the message
-                        // is lost but still accounted, matching the loopback
-                        // behavior above.
-                        let size = msg.wire_size();
-                        self.metrics.lock().on_send(msg.kind(), size);
-                        self.notify_hook(from, to, msg.kind(), size);
-                        if self.flights.armed(from) {
-                            self.flights.on_send(
-                                from,
-                                self.now_ts(),
-                                to,
-                                msg.kind(),
-                                size,
-                                msg.correlation(),
-                            );
-                        }
-                    }
-                }
-                self.drain_after(slot, guard);
-            }
-            None => {
-                // Another thread is mid-write on this link: encode to an
-                // owned frame and park it for the lock holder to flush in
-                // one vectored write. The send is accounted here, at
-                // enqueue time, exactly as a direct write would be.
-                let mut frame = Vec::with_capacity(msg.wire_size() + 8);
-                msg.encode_into(&mut frame);
-                let body = frame.len();
-                self.metrics.lock().on_send(msg.kind(), body);
-                self.notify_hook(from, to, msg.kind(), body);
-                if self.flights.armed(from) {
-                    let clock = self.flights.on_send(
-                        from,
-                        self.now_ts(),
-                        to,
-                        msg.kind(),
-                        body,
-                        msg.correlation(),
-                    );
-                    clock.encode_into(&mut frame);
-                }
-                let parked = {
-                    let mut q = slot.queue.lock();
-                    if q.len() < LINK_QUEUE_CAP {
-                        q.push_back(std::mem::take(&mut frame));
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if parked {
-                    // The holder may have finished its drain between our
-                    // failed try_lock and the push; re-check so the frame
-                    // is never stranded on an idle link.
-                    if let Some(guard) = slot.writer.try_lock() {
-                        self.drain_after(slot, guard);
-                    }
-                } else if msg.is_telemetry() {
-                    // Queue full: telemetry never head-of-line blocks
-                    // protocol traffic, so the frame is shed — counted as
-                    // sent then lost, the same accounting as the engine's
-                    // loss model. Pulse deltas are cumulative per emitter,
-                    // so a shed frame costs resolution, not correctness.
-                    self.metrics.lock().on_lost();
-                    self.notify_drop(from, to, msg.kind(), TraceOutcome::Lost);
-                } else {
-                    // Protocol traffic must not be lost to contention:
-                    // wait for the writer (backpressure), then flush the
-                    // backlog and this frame in link order.
-                    self.metrics.lock().on_backpressure_wait();
-                    let guard = slot.writer.lock();
-                    slot.queue.lock().push_back(frame);
-                    self.drain_after(slot, guard);
-                }
-            }
-        }
+    /// Writes an already-encoded `frame` on the `from → to` link, waiting
+    /// for the writer if it is busy.
+    fn write_frame(&self, from: NodeId, to: NodeId, frame: &[u8], metrics: &Mutex<Metrics>) {
+        let slot = self.slot(from.index(), to.index());
+        slot.write_then_drain(slot.writer.lock(), Some(frame), metrics);
     }
 }
 
@@ -478,93 +212,230 @@ fn connect_pair() -> io::Result<(TcpStream, TcpStream)> {
     Ok((writer, reader))
 }
 
-/// Applies [`FaultAction`]s to the live socket mesh; shared by
-/// [`TcpNet`]'s direct fault methods and its real-time fault drivers.
-struct TcpFaultCtl<M> {
-    senders: Vec<Sender<Ctl<M>>>,
-    /// Per ordered link, the channel feeding replacement sockets to that
-    /// link's reader thread (`None` on the diagonal).
-    reader_ctrl: Vec<Option<Sender<TcpStream>>>,
-    links: Arc<LinkTable>,
-    faults: Arc<FaultState>,
-    flights: Arc<FlightTable>,
-    chaos: Arc<ChaosState>,
-    epoch: Instant,
+/// Encodes `msg` into `frame` and accounts the send at its encoded length
+/// — *before* the trailing Lamport varint, so byte accounting equals
+/// `wire_size()` on every substrate without a second sizing pass; the
+/// clock rides as framing overhead like the length prefix does. Unhooked
+/// senders emit the pre-clock frame layout — no trailing varint, no
+/// wall-clock read — which receivers decode with clock 0: exact, since a
+/// sender with no ring has no events to order against.
+fn encode_accounted<M: Wire + Encode>(
+    hub: &Hub<M>,
+    from: NodeId,
+    to: NodeId,
+    msg: &M,
+    frame: &mut Vec<u8>,
+) {
+    frame.clear();
+    msg.encode_into(frame);
+    if let Some(clock) = hub.account(from, to, msg, frame.len()) {
+        clock.encode_into(frame);
+    }
 }
 
-impl<M> TcpFaultCtl<M> {
-    fn now_ts(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+/// [`encode_accounted`] into a frame of its own, for the paths where the
+/// frame outlives the send call (parked behind a busy writer, held by the
+/// chaos pump).
+fn encode_owned<M: Wire + Encode>(hub: &Hub<M>, from: NodeId, to: NodeId, msg: &M) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(msg.wire_size() + 8);
+    encode_accounted(hub, from, to, msg, &mut frame);
+    frame
+}
+
+/// One link's reader thread: decodes frames off the link's current socket
+/// into the destination's mailbox. Each socket it is handed is read to
+/// EOF/error, then the thread parks waiting for a replacement (node
+/// restart); a disconnected control channel ends the thread.
+fn spawn_reader<M: Wire + Decode>(
+    hub: Arc<Hub<M>>,
+    from: NodeId,
+    to: NodeId,
+    sockets: Receiver<TcpStream>,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        // One payload buffer per link, reused across sockets.
+        let mut payload = Vec::new();
+        while let Ok(stream) = sockets.recv() {
+            // One read buffer per socket, so a frame costs at most one
+            // `read` (not one for the prefix and one for the payload) and
+            // a burst one for all of it. Bytes of a killed socket's
+            // unfinished frame die with its buffer: the replacement starts
+            // on a frame boundary.
+            let mut stream = BufReader::with_capacity(READ_BUF_BYTES, stream);
+            while let Ok(true) = read_frame_into(&mut stream, &mut payload) {
+                // A frame is the message encoding plus an optional
+                // trailing Lamport varint; frames from before the clock
+                // existed decode with clock 0.
+                match decode_clocked::<M>(&payload) {
+                    Ok((msg, clock)) => {
+                        if !hub.arrive(from, to, msg, clock) {
+                            return;
+                        }
+                    }
+                    // Garbage on the wire is a counted, flight-recorded
+                    // link fault — never a teardown. The length prefix has
+                    // already advanced the stream past the bad payload, so
+                    // the next frame parses cleanly; corruption injection
+                    // is observable rather than fatal.
+                    Err(_) => {
+                        hub.metrics.lock().on_decode_error();
+                        hub.flag_decode_error(from, to);
+                    }
+                }
+            }
+        }
+    })
+}
+
+/// TCP-backed links: encode, frame, write to the link's socket; a reader
+/// thread per link decodes at the far end.
+pub struct TcpTransport {
+    links: Arc<LinkTable>,
+    /// Per ordered link, the channel feeding replacement sockets to that
+    /// link's reader thread (`None` on the diagonal). Emptied by `close`,
+    /// which is what ends the parked readers.
+    reader_ctrl: Mutex<Vec<Option<Sender<TcpStream>>>>,
+    readers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl<M: Wire + Encode + Decode> Transport<M> for TcpTransport {
+    const NAME: &'static str = "tcp";
+
+    fn open(hub: &Arc<Hub<M>>) -> io::Result<Self> {
+        let n = hub.node_count();
+        let links = Arc::new(LinkTable::new(n));
+        // Establish every ordered link before spawning anything, so a
+        // socket failure leaves no threads behind.
+        let mut initial = Vec::new();
+        for from in 0..n {
+            for to in 0..n {
+                if from != to {
+                    initial.push((from, to, links.dial(from, to)?));
+                }
+            }
+        }
+        let mut reader_ctrl: Vec<Option<Sender<TcpStream>>> = Vec::new();
+        reader_ctrl.resize_with(n * n, || None);
+        let mut readers = Vec::with_capacity(initial.len());
+        for (from, to, reader) in initial {
+            let (ctrl_tx, ctrl_rx) = unbounded();
+            ctrl_tx.send(reader).expect("fresh channel");
+            reader_ctrl[from * n + to] = Some(ctrl_tx);
+            readers.push(spawn_reader(
+                Arc::clone(hub),
+                NodeId::from_index(from),
+                NodeId::from_index(to),
+                ctrl_rx,
+            ));
+        }
+        Ok(TcpTransport {
+            links,
+            reader_ctrl: Mutex::new(reader_ctrl),
+            readers: Mutex::new(readers),
+        })
     }
 
-    fn apply(&self, action: FaultAction) {
-        match action {
-            FaultAction::Crash(node) => self.kill(node),
-            FaultAction::Restart(node) => self.restart(node),
-            FaultAction::Block(a, b) => {
-                self.faults.set_blocked(a, b, true);
-                self.flights
-                    .on_fault(a, self.now_ts(), &format!("block {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now_ts(), &format!("block {a} {b}"));
+    fn deliver(&self, hub: &Arc<Hub<M>>, from: NodeId, to: NodeId, msg: M) {
+        let slot = self.links.slot(from.index(), to.index());
+        let Some(mut guard) = slot.writer.try_lock() else {
+            // Another thread is mid-write on this link: encode to an owned
+            // frame and park it for the lock holder to flush in one
+            // vectored write. The send is accounted here, at enqueue time,
+            // exactly as a direct write would be.
+            let mut frame = encode_owned(hub, from, to, &msg);
+            let parked = {
+                let mut q = slot.queue.lock();
+                if q.len() < LINK_QUEUE_CAP {
+                    q.push_back(std::mem::take(&mut frame));
+                    true
+                } else {
+                    false
+                }
+            };
+            if parked {
+                // The holder may have finished its drain between our
+                // failed try_lock and the push; re-check so the frame is
+                // never stranded on an idle link.
+                if let Some(guard) = slot.writer.try_lock() {
+                    slot.drain_after(guard, &hub.metrics);
+                }
+            } else if msg.is_telemetry() {
+                // Queue full: telemetry never head-of-line blocks protocol
+                // traffic, so the frame is shed — counted as sent then
+                // lost, the same accounting as the engine's loss model.
+                // Pulse deltas are cumulative per emitter, so a shed frame
+                // costs resolution, not correctness.
+                hub.count_drop(from, to, msg.kind(), TraceOutcome::Lost);
+            } else {
+                // Protocol traffic must not be lost to contention: wait
+                // for the writer (backpressure), then flush the backlog
+                // and this frame in link order.
+                hub.metrics.lock().on_backpressure_wait();
+                self.links.write_frame(from, to, &frame, &hub.metrics);
             }
-            FaultAction::Unblock(a, b) => {
-                self.faults.set_blocked(a, b, false);
-                self.flights
-                    .on_fault(a, self.now_ts(), &format!("unblock {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now_ts(), &format!("unblock {a} {b}"));
+            return;
+        };
+        match guard.as_mut() {
+            Some(link) => encode_accounted(hub, from, to, &msg, &mut link.scratch),
+            // No live link (torn down, not yet re-dialed): the message is
+            // lost but still accounted.
+            None => {
+                hub.account(from, to, &msg, msg.wire_size());
             }
-            FaultAction::Degrade(a, b, _) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(a, self.now_ts(), &format!("degrade {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now_ts(), &format!("degrade {a} {b}"));
-            }
-            FaultAction::Restore(a, b) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(a, self.now_ts(), &format!("restore {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now_ts(), &format!("restore {a} {b}"));
-            }
-            FaultAction::Stall(node, _) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(node, self.now_ts(), &format!("stall {node}"));
-            }
-            FaultAction::Slow(node, _) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(node, self.now_ts(), &format!("slow {node}"));
-            }
+        }
+        slot.write_then_drain(guard, None, &hub.metrics);
+    }
+
+    fn deliver_delayed(
+        &self,
+        hub: &Arc<Hub<M>>,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        delay: Duration,
+        copies: u32,
+    ) {
+        // Delay and duplication park the finished frame on the pump.
+        let frame = encode_owned(hub, from, to, &msg);
+        for copy in 0..copies {
+            let (links, net, frame) = (Arc::clone(&self.links), Arc::clone(hub), frame.clone());
+            hub.after(delay, copy, move || {
+                links.write_frame(from, to, &frame, &net.metrics);
+            });
         }
     }
 
-    fn kill(&self, node: NodeId) {
-        // Gate sends first so traffic starts dropping immediately.
-        self.faults.set_up(node, false);
-        self.flights
-            .on_fault(node, self.now_ts(), &format!("kill {node}"));
-        if let Some(tx) = self.senders.get(node.index()) {
-            let _ = tx.send(Ctl::Crash);
+    fn deliver_corrupt(&self, hub: &Arc<Hub<M>>, from: NodeId, to: NodeId, msg: M) {
+        // Corruption flips bits in the encoded frame so the receiver hits
+        // a *real* decode error. Damage both ends of the payload: the
+        // first byte carries the message tag, so the decode on the far
+        // side fails rather than resynthesizing a different valid message.
+        let mut frame = encode_owned(hub, from, to, &msg);
+        if let Some(first) = frame.first_mut() {
+            *first ^= 0xFF;
         }
+        if frame.len() > 1 {
+            // Only on multi-byte frames: on a 1-byte payload this would
+            // re-flip the same byte back to valid.
+            let last = frame.len() - 1;
+            frame[last] ^= 0xFF;
+        }
+        self.links.write_frame(from, to, &frame, &hub.metrics);
+    }
+
+    fn on_kill(&self, node: NodeId) {
         let n = self.links.n;
         let dead = node.index();
         if dead >= n {
             return;
         }
-        for other in 0..n {
-            if other == dead {
-                continue;
-            }
+        for other in (0..n).filter(|&other| other != dead) {
             for (from, to) in [(dead, other), (other, dead)] {
                 let slot = self.links.slot(from, to);
                 // Shut the read half first: this resets the connection, so
                 // a peer writer blocked on the dead node's full receive
                 // buffer errors out and releases the writer lock — which
-                // we may be about to take.
+                // we are about to take.
                 if let Some(sock) = slot.reader.lock().take() {
                     let _ = sock.shutdown(Shutdown::Both);
                 }
@@ -579,115 +450,48 @@ impl<M> TcpFaultCtl<M> {
         }
     }
 
-    fn restart(&self, node: NodeId) {
+    fn on_restart(&self, hub: &Hub<M>, node: NodeId) {
         let n = self.links.n;
         let back = node.index();
-        if back < n {
-            for other in 0..n {
-                // Links to still-down peers are re-dialed when *they*
-                // restart; dialing them now would race their own teardown.
-                if other == back || !self.faults.is_up(NodeId::from_index(other)) {
+        if back >= n {
+            return;
+        }
+        let reader_ctrl = self.reader_ctrl.lock();
+        // Links to still-down peers are re-dialed when *they* restart;
+        // dialing them now would race their own teardown.
+        for other in (0..n).filter(|&o| o != back && hub.is_up(NodeId::from_index(o))) {
+            for (from, to) in [(back, other), (other, back)] {
+                let Ok(reader) = self.links.dial(from, to) else {
                     continue;
-                }
-                for (from, to) in [(back, other), (other, back)] {
-                    let Ok((writer, reader)) = connect_pair() else {
-                        continue;
-                    };
-                    let slot = self.links.slot(from, to);
-                    if let Ok(clone) = reader.try_clone() {
-                        *slot.reader.lock() = Some(clone);
-                    }
-                    *slot.writer.lock() = Some(Link {
-                        stream: writer,
-                        scratch: Vec::new(),
-                    });
-                    if let Some(Some(ctrl)) = self.reader_ctrl.get(from * n + to) {
-                        let _ = ctrl.send(reader);
-                    }
+                };
+                if let Some(Some(ctrl)) = reader_ctrl.get(from * n + to) {
+                    let _ = ctrl.send(reader);
                 }
             }
         }
-        self.faults.set_up(node, true);
-        self.flights
-            .on_fault(node, self.now_ts(), &format!("restart {node}"));
-        if let Some(tx) = self.senders.get(node.index()) {
-            let _ = tx.send(Ctl::Restart);
+    }
+
+    fn close(&self) {
+        // The nodes are gone; close the read halves so reader threads see
+        // EOF even if their peer's write half is still open somewhere,
+        // then drop the control channels so parked readers exit too.
+        for slot in &self.links.slots {
+            if let Some(sock) = slot.reader.lock().take() {
+                let _ = sock.shutdown(Shutdown::Both);
+            }
+        }
+        self.reader_ctrl.lock().clear();
+        for reader in self.readers.lock().drain(..) {
+            reader.join().expect("link reader thread panicked");
         }
     }
 }
 
-/// Collects actors before opening sockets and spawning threads.
-///
-/// Node ids are assigned in registration order, matching
-/// [`SimNet::add_node`](crate::SimNet::add_node) and
-/// [`ThreadNetBuilder::add_node`](crate::threadnet::ThreadNetBuilder::add_node),
-/// so the same wiring code can target any of the three runtimes.
-pub struct TcpNetBuilder<M: Wire + Encode + Decode> {
-    actors: Vec<Box<dyn Spawnable<M>>>,
-    hook: Option<Box<dyn NetHook + Send>>,
-    flights: Vec<(NodeId, Box<dyn FlightHook + Send>)>,
-    chaos_seed: u64,
-}
-
-impl<M: Wire + Encode + Decode> Default for TcpNetBuilder<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Collects actors before opening sockets and spawning threads: the live
+/// runtime's [`LiveNetBuilder`] over [`TcpTransport`].
+pub type TcpNetBuilder<M> = LiveNetBuilder<M, TcpTransport>;
 
 impl<M: Wire + Encode + Decode> TcpNetBuilder<M> {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        TcpNetBuilder {
-            actors: Vec::new(),
-            hook: None,
-            flights: Vec::new(),
-            chaos_seed: 0,
-        }
-    }
-
-    /// Seeds the gray-failure RNG, making chaos soaks reproducible: the
-    /// same seed and plan produce the same per-frame loss/dup/corrupt
-    /// decisions (kernel scheduling still varies, as on any real network).
-    pub fn set_chaos_seed(&mut self, seed: u64) {
-        self.chaos_seed = seed;
-    }
-
-    /// Installs a network hook observing every send on the transport —
-    /// socket writes and loopback self-sends alike — with the same
-    /// callback the in-process engine uses, so per-kind message/byte
-    /// accounting (e.g. an obs recorder) works identically over TCP.
-    ///
-    /// The hook is shared across sender threads behind a mutex; keep its
-    /// callbacks cheap.
-    pub fn set_net_hook(&mut self, hook: Box<dyn NetHook + Send>) {
-        self.hook = Some(hook);
-    }
-
-    /// Installs `node`'s flight recorder (see
-    /// [`FlightHook`]). The recorder stamps every frame
-    /// the node writes with a Lamport clock — carried as a trailing varint
-    /// after the message payload, so old frames without one decode with
-    /// clock 0 — and merges the stamp on every frame the node reads.
-    pub fn set_flight_hook(&mut self, node: NodeId, hook: Box<dyn FlightHook + Send>) {
-        self.flights.push((node, hook));
-    }
-
-    /// Registers an actor and returns its future node id.
-    pub fn add_node(&mut self, actor: impl Actor<M> + Any + 'static) -> NodeId {
-        let id = NodeId::from_index(self.actors.len());
-        self.actors.push(Box::new(Holder(actor)));
-        id
-    }
-
-    /// Registers an already-boxed actor (the deployment-layer path; see
-    /// [`Spawner`](crate::Spawner)).
-    pub fn add_boxed(&mut self, actor: Box<dyn DynActor<M>>) -> NodeId {
-        let id = NodeId::from_index(self.actors.len());
-        self.actors.push(Box::new(BoxHolder(actor)));
-        id
-    }
-
     /// Opens the full mesh of loopback sockets, spawns one thread per actor
     /// plus one reader thread per incoming link, and returns the running
     /// network.
@@ -697,144 +501,12 @@ impl<M: Wire + Encode + Decode> TcpNetBuilder<M> {
     /// Any socket error while binding/connecting the mesh; no threads have
     /// been spawned when an error is returned.
     pub fn start(self) -> io::Result<TcpNet<M>> {
-        let n = self.actors.len();
-        let metrics = Arc::new(Mutex::new(Metrics::new()));
-        let faults = Arc::new(FaultState::new(n));
-        let links = Arc::new(LinkTable::new(n));
-
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
-        // Establish every ordered link before spawning anything, so a
-        // socket failure leaves no threads behind.
-        let mut initial = Vec::new();
-        for from in 0..n {
-            for to in 0..n {
-                if from != to {
-                    let (writer, reader) = connect_pair()?;
-                    let slot = links.slot(from, to);
-                    *slot.reader.lock() = Some(reader.try_clone()?);
-                    *slot.writer.lock() = Some(Link {
-                        stream: writer,
-                        scratch: Vec::new(),
-                    });
-                    initial.push((from, to, reader));
-                }
-            }
-        }
-
-        let epoch = Instant::now();
-        let hook: Option<SharedHook> = self.hook.map(|h| Arc::new(Mutex::new(h)));
-        let flights = Arc::new(FlightTable::new(n, self.flights));
-        let chaos = Arc::new(ChaosState::new(self.chaos_seed));
-        let pump = DelayPump::start();
-
-        let mut reader_ctrl: Vec<Option<Sender<TcpStream>>> = Vec::with_capacity(n * n);
-        reader_ctrl.resize_with(n * n, || None);
-        let mut reader_handles = Vec::with_capacity(initial.len());
-        for (from, to, reader) in initial {
-            let (ctrl_tx, ctrl_rx) = unbounded::<TcpStream>();
-            ctrl_tx.send(reader).expect("fresh channel");
-            reader_ctrl[from * n + to] = Some(ctrl_tx);
-            let tx = senders[to].clone();
-            let from_id = NodeId::from_index(from);
-            let to_id = NodeId::from_index(to);
-            let link_metrics = Arc::clone(&metrics);
-            let link_flights = Arc::clone(&flights);
-            reader_handles.push(std::thread::spawn(move || {
-                // One payload buffer per link, reused across sockets.
-                let mut payload = Vec::new();
-                // Each received socket is read to EOF/error, then the
-                // thread parks waiting for a replacement (node restart);
-                // a disconnected control channel ends the thread.
-                while let Ok(stream) = ctrl_rx.recv() {
-                    // One read buffer per socket, so a frame costs at most
-                    // one `read` (not one for the prefix and one for the
-                    // payload) and a burst one for all of it. Bytes of a
-                    // killed socket's unfinished frame die with its buffer:
-                    // the replacement starts on a frame boundary.
-                    let mut stream = BufReader::with_capacity(READ_BUF_BYTES, stream);
-                    while let Ok(true) = read_frame_into(&mut stream, &mut payload) {
-                        // A frame is the message encoding plus an optional
-                        // trailing Lamport varint; frames from before the
-                        // clock existed decode with clock 0.
-                        let (msg, clock) = match decode_clocked::<M>(&payload) {
-                            Ok(pair) => pair,
-                            // Garbage on the wire is a counted, flight-
-                            // recorded link fault — never a teardown. The
-                            // length prefix has already advanced the stream
-                            // past the bad payload, so the next frame
-                            // parses cleanly; corruption injection is
-                            // observable rather than fatal.
-                            Err(_) => {
-                                link_metrics.lock().on_decode_error();
-                                link_flights.on_fault(
-                                    to_id,
-                                    SimTime::from_micros(epoch.elapsed().as_micros() as u64),
-                                    &format!("decode-error {from_id} {to_id}"),
-                                );
-                                continue;
-                            }
-                        };
-                        if tx.send(Ctl::Msg(from_id, msg, clock)).is_err() {
-                            return;
-                        }
-                        link_metrics.lock().on_deliver();
-                    }
-                }
-            }));
-        }
-        let outbound = TcpOutbound {
-            links: Arc::clone(&links),
-            loopback: senders.clone(),
-            metrics: Arc::clone(&metrics),
-            faults: Arc::clone(&faults),
-            hook: hook.clone(),
-            flights: Arc::clone(&flights),
-            epoch,
-            chaos: Arc::clone(&chaos),
-            pump: Arc::clone(&pump),
-            pump_seq: Arc::new(AtomicU64::new(0)),
-        };
-        let shared = Shared {
-            outbound: Arc::new(outbound) as Arc<dyn Outbound<M>>,
-            flights: Arc::clone(&flights),
-            epoch,
-        };
-        let handles = self
-            .actors
-            .into_iter()
-            .zip(receivers)
-            .enumerate()
-            .map(|(i, (a, rx))| a.spawn(NodeId::from_index(i), rx, shared.clone()))
-            .collect();
-        Ok(TcpNet {
-            ctl: Arc::new(TcpFaultCtl {
-                senders,
-                reader_ctrl,
-                links,
-                faults,
-                flights,
-                chaos,
-                epoch,
-            }),
-            handles,
-            reader_handles,
-            metrics,
-            hook,
-            epoch,
-            drivers: Vec::new(),
-            pump,
-        })
+        self.boot()
     }
 }
 
-/// A running network of actors connected by real TCP loopback sockets.
+/// A running network of actors connected by real TCP loopback sockets: the
+/// live runtime's [`LiveNet`] over [`TcpTransport`].
 ///
 /// # Examples
 ///
@@ -876,285 +548,62 @@ impl<M: Wire + Encode + Decode> TcpNetBuilder<M> {
 /// while hits.load(Ordering::SeqCst) < 4 { std::thread::yield_now(); }
 /// net.shutdown();
 /// ```
-pub struct TcpNet<M: Wire> {
-    ctl: Arc<TcpFaultCtl<M>>,
-    handles: Vec<JoinHandle<Box<dyn Any + Send>>>,
-    reader_handles: Vec<JoinHandle<()>>,
-    metrics: Arc<Mutex<Metrics>>,
-    hook: Option<SharedHook>,
-    epoch: Instant,
-    drivers: Vec<FaultDriver>,
-    pump: Arc<DelayPump>,
-}
-
-impl<M: Wire> TcpNet<M> {
-    /// Sends `msg` to `to` as if it came from `from`, via the control-plane
-    /// channel (driver injection, not a measured socket hop).
-    pub fn inject(&self, from: NodeId, to: NodeId, msg: M) {
-        self.metrics.lock().on_send(msg.kind(), msg.wire_size());
-        if let Some(hook) = &self.hook {
-            let now = SimTime::from_micros(self.epoch.elapsed().as_micros() as u64);
-            hook.lock()
-                .on_send(now, from, to, msg.kind(), msg.wire_size());
-        }
-        if let Some(tx) = self.ctl.senders.get(to.index()) {
-            if tx.send(Ctl::Msg(from, msg, 0)).is_ok() {
-                self.metrics.lock().on_deliver();
-            }
-        }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.ctl.senders.len()
-    }
-
-    /// Wall-clock time since the network started, on the same axis the
-    /// node loops report to actors.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    /// A detached snapshot of the transport metrics so far (a plain-data
-    /// copy, not a clone of the live registry).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.lock().snapshot()
-    }
-
-    /// Kills one node, as a crash: sends to it start dropping immediately,
-    /// its pending timers die, and **both halves of every socket touching
-    /// it are shut down**, so peer writer threads blocked on its dead
-    /// receive buffer error out instead of hanging. The node can come
-    /// back via [`TcpNet::restart_node`]; [`TcpNet::shutdown`] joins its
-    /// thread cleanly either way.
-    pub fn kill_node(&self, node: NodeId) {
-        self.ctl.apply(FaultAction::Crash(node));
-    }
-
-    /// Restarts a killed node: fresh socket pairs are dialed to every
-    /// live peer (their reader threads pick up the replacement sockets),
-    /// then the node's `on_restart` hook runs. Symmetric with
-    /// [`TcpNet::kill_node`].
-    pub fn restart_node(&self, node: NodeId) {
-        self.ctl.apply(FaultAction::Restart(node));
-    }
-
-    /// Blocks all traffic between `a` and `b` (both directions), dropped
-    /// sender-side before the socket write and counted as partitioned.
-    pub fn block_link(&self, a: NodeId, b: NodeId) {
-        self.ctl.apply(FaultAction::Block(a, b));
-    }
-
-    /// Unblocks traffic between `a` and `b`.
-    pub fn unblock_link(&self, a: NodeId, b: NodeId) {
-        self.ctl.apply(FaultAction::Unblock(a, b));
-    }
-
-    /// Applies any [`FaultAction`] — including the gray kinds
-    /// (degrade/restore/stall/slow) — immediately.
-    pub fn apply_action(&self, action: FaultAction) {
-        self.ctl.apply(action);
-    }
-
-    /// Replays `plan` against the live mesh in real time: a fault-driver
-    /// thread sleeps until each action's wall-clock offset (measured from
-    /// network start) and applies it. Multiple plans may be in flight;
-    /// all drivers are stopped and joined by [`TcpNet::shutdown`].
-    pub fn execute_plan(&mut self, plan: &FaultPlan) {
-        let ctl = Arc::clone(&self.ctl);
-        self.drivers.push(FaultDriver::spawn(
-            plan,
-            self.epoch,
-            Box::new(move |action| ctl.apply(action)),
-        ));
-    }
-
-    /// Stops all node threads (draining queued messages first), closes every
-    /// link, joins the reader threads, and returns each actor in node order
-    /// for inspection via `Box<dyn Any>`. Fault drivers are stopped first,
-    /// so no action fires into a half-torn-down network.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any node or reader thread.
-    pub fn shutdown(self) -> Vec<Box<dyn Any + Send>> {
-        for d in self.drivers {
-            d.stop();
-        }
-        // Chaos-delayed frames still on the pump die with the network,
-        // like in-flight bytes on a torn-down socket.
-        self.pump.shutdown();
-        for tx in &self.ctl.senders {
-            let _ = tx.send(Ctl::Shutdown);
-        }
-        let actors: Vec<_> = self
-            .handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect();
-        // Nodes are gone; close the read halves so reader threads see EOF
-        // even if their peer's write half is still open somewhere, then
-        // drop the control channels so parked readers exit too.
-        for slot in &self.ctl.links.slots {
-            if let Some(sock) = slot.reader.lock().take() {
-                let _ = sock.shutdown(Shutdown::Both);
-            }
-        }
-        drop(self.ctl);
-        for h in self.reader_handles {
-            h.join().expect("link reader thread panicked");
-        }
-        actors
-    }
-}
+pub type TcpNet<M> = LiveNet<M, TcpTransport>;
 
 #[cfg(test)]
 mod tests {
+    use super::TcpTransport as T;
     use super::*;
-    use crate::engine::Context;
-    use crate::SimDuration;
+    use crate::engine::{Actor, Context};
+    use crate::live::suite::{self, wait_until, Echo, Ping};
+    use crate::live::Switch;
+    use crate::{DegradeSpec, FaultAction, SimDuration};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::Duration;
 
-    #[derive(Clone, Debug, PartialEq)]
-    enum M {
-        Ping(u32),
-    }
-    impl Wire for M {
-        fn wire_size(&self) -> usize {
-            self.encoded_len()
-        }
-        fn kind(&self) -> &'static str {
-            "ping"
-        }
-    }
-    impl Encode for M {
-        fn encode_into(&self, out: &mut Vec<u8>) {
-            let M::Ping(n) = self;
-            n.encode_into(out);
-        }
-    }
-    impl Decode for M {
-        fn decode_from(r: &mut whisper_wire::Reader<'_>) -> Result<Self, whisper_wire::WireError> {
-            Ok(M::Ping(u32::decode_from(r)?))
-        }
-    }
-
-    struct Echo {
-        bounces: Arc<AtomicU32>,
-    }
-    impl Actor<M> for Echo {
-        fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-            let M::Ping(n) = msg;
-            self.bounces.fetch_add(1, Ordering::SeqCst);
-            if n > 0 {
-                ctx.send(from, M::Ping(n - 1));
-            }
-        }
-    }
-
-    fn wait_until(deadline_msg: &str, cond: impl Fn() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !cond() {
-            assert!(Instant::now() < deadline, "{deadline_msg}");
-            std::thread::yield_now();
-        }
-    }
+    // The behaviours every live substrate owes, over real sockets.
 
     #[test]
     fn ping_pong_over_real_sockets() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = TcpNetBuilder::new();
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start().unwrap();
-        net.inject(na, nb, M::Ping(9));
-        let (a, bb) = (a_hits.clone(), b_hits.clone());
-        wait_until("ping-pong did not complete", || {
-            a.load(Ordering::SeqCst) + bb.load(Ordering::SeqCst) >= 10
-        });
-        let m = net.metrics_snapshot();
-        net.shutdown();
-        assert_eq!(m.sent_of_kind("ping"), 10);
-        // Byte accounting is the real encoded size: 1 varint byte per ping
-        // here, not a hand-estimated constant.
-        assert_eq!(m.bytes_sent(), 10);
+        suite::ping_pong::<T>();
     }
 
     #[test]
-    fn chaos_corrupt_counts_decode_error_and_link_survives() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = TcpNetBuilder::new();
-        b.set_chaos_seed(42);
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start().unwrap();
-        net.apply_action(FaultAction::Degrade(
-            na,
-            nb,
-            crate::DegradeSpec {
-                corrupt_pct: 100,
-                ..crate::DegradeSpec::default()
-            },
-        ));
-        // na's reply crosses the degraded link as a bit-flipped frame and
-        // fails to decode at nb — counted, not fatal.
-        net.inject(nb, na, M::Ping(1));
-        let m = Arc::clone(&net.metrics);
-        wait_until("decode error never counted", || {
-            m.lock().decode_errors() >= 1
-        });
-        assert_eq!(b_hits.load(Ordering::SeqCst), 0);
+    fn timers_fire_on_tcp_runtime_too() {
+        suite::timers_fire_in_real_time::<T>();
+    }
 
-        // The same socket keeps working once the degradation lifts: the
-        // length prefix resynchronized the stream past the bad payload.
-        net.apply_action(FaultAction::Restore(na, nb));
-        net.inject(nb, na, M::Ping(1));
-        let bh = Arc::clone(&b_hits);
-        wait_until("link did not survive the corrupted frame", || {
-            bh.load(Ordering::SeqCst) >= 1
-        });
-        net.shutdown();
+    #[test]
+    fn shutdown_joins_everything_and_returns_actors() {
+        suite::shutdown_returns_actors_in_order::<T>();
+    }
+
+    #[test]
+    fn kill_drops_messages_and_restart_revives() {
+        suite::kill_drops_messages_and_restart_revives::<T>();
+    }
+
+    #[test]
+    fn blocked_pair_drops_sender_side() {
+        suite::blocked_pair_drops_sender_side::<T>();
+    }
+
+    #[test]
+    fn chaos_degrade_drops_then_restore_heals() {
+        suite::chaos_degrade_drops_then_restore_heals::<T>();
     }
 
     #[test]
     fn chaos_dup_delivers_frame_twice() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = TcpNetBuilder::new();
-        b.set_chaos_seed(42);
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start().unwrap();
-        net.apply_action(FaultAction::Degrade(
-            na,
-            nb,
-            crate::DegradeSpec {
-                dup_pct: 100,
-                ..crate::DegradeSpec::default()
-            },
-        ));
-        net.inject(nb, na, M::Ping(1));
-        let bh = Arc::clone(&b_hits);
-        wait_until("duplicate frame never arrived", || {
-            bh.load(Ordering::SeqCst) >= 2
-        });
-        net.shutdown();
+        suite::chaos_dup_delivers_twice::<T>();
     }
+
+    #[test]
+    fn chaos_corrupt_counts_decode_error_and_link_survives() {
+        suite::chaos_corrupt_counts_decode_error_and_link_survives::<T>();
+    }
+
+    // What only sockets have.
 
     #[test]
     fn three_node_relay_chain() {
@@ -1162,12 +611,12 @@ mod tests {
             next: NodeId,
             seen: Arc<AtomicU32>,
         }
-        impl Actor<M> for Relay {
-            fn on_message(&mut self, ctx: &mut Context<'_, M>, _: NodeId, msg: M) {
+        impl Actor<Ping> for Relay {
+            fn on_message(&mut self, ctx: &mut Context<'_, Ping>, _: NodeId, msg: Ping) {
                 self.seen.fetch_add(1, Ordering::SeqCst);
-                let M::Ping(n) = msg;
+                let Ping(n) = msg;
                 if n > 0 {
-                    ctx.send(self.next, M::Ping(n - 1));
+                    ctx.send(self.next, Ping(n - 1));
                 }
             }
         }
@@ -1186,39 +635,13 @@ mod tests {
             seen: seen.clone(),
         });
         let net = b.start().unwrap();
-        net.inject(n0, n0, M::Ping(8));
+        net.inject(n0, n0, Ping(8));
         let s = seen.clone();
         wait_until("relay chain did not complete", || {
             s.load(Ordering::SeqCst) >= 9
         });
         net.shutdown();
         assert_eq!(seen.load(Ordering::SeqCst), 9);
-    }
-
-    #[test]
-    fn timers_fire_on_tcp_runtime_too() {
-        struct Beeper {
-            beeps: Arc<AtomicU32>,
-        }
-        impl Actor<M> for Beeper {
-            fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-                ctx.set_timer(SimDuration::from_millis(5), 3);
-            }
-            fn on_message(&mut self, _: &mut Context<'_, M>, _: NodeId, _: M) {}
-            fn on_timer(&mut self, _: &mut Context<'_, M>, token: u64) {
-                assert_eq!(token, 3);
-                self.beeps.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let beeps = Arc::new(AtomicU32::new(0));
-        let mut b = TcpNetBuilder::new();
-        b.add_node(Beeper {
-            beeps: beeps.clone(),
-        });
-        let net = b.start().unwrap();
-        let bp = beeps.clone();
-        wait_until("timer did not fire", || bp.load(Ordering::SeqCst) >= 1);
-        net.shutdown();
     }
 
     #[test]
@@ -1309,31 +732,20 @@ mod tests {
         assert_eq!(*got.lock(), payloads());
     }
 
-    /// Builds a two-node outbound by hand so tests can hold the link's
-    /// writer lock and force the contended paths deterministically. The
-    /// returned reader keeps the socket pair alive.
-    fn hand_built_outbound<W: Wire + Encode>() -> (TcpOutbound<W>, TcpStream) {
-        let (writer, reader) = connect_pair().unwrap();
+    /// Builds a two-node switch by hand — no node threads, no readers —
+    /// so tests can hold the 0 → 1 link's writer lock and force the
+    /// contended paths deterministically. The returned reader is the far
+    /// end of that link.
+    fn hand_built_outbound<W: Wire + Encode + Decode>() -> (Switch<W, T>, TcpStream) {
+        let (hub, _mailboxes) = Hub::new(2, None, Vec::new(), 0);
         let links = Arc::new(LinkTable::new(2));
-        *links.slot(0, 1).writer.lock() = Some(Link {
-            stream: writer,
-            scratch: Vec::new(),
-        });
-        let (tx0, _rx0) = unbounded();
-        let (tx1, _rx1) = unbounded();
-        let out = TcpOutbound {
+        let reader = links.dial(0, 1).unwrap();
+        let transport = TcpTransport {
             links,
-            loopback: vec![tx0, tx1],
-            metrics: Arc::new(Mutex::new(Metrics::new())),
-            faults: Arc::new(FaultState::new(2)),
-            hook: None,
-            flights: Arc::new(FlightTable::new(2, Vec::new())),
-            epoch: Instant::now(),
-            chaos: Arc::new(ChaosState::new(0)),
-            pump: DelayPump::start(),
-            pump_seq: Arc::new(AtomicU64::new(0)),
+            reader_ctrl: Mutex::new(Vec::new()),
+            readers: Mutex::new(Vec::new()),
         };
-        (out, reader)
+        (Switch { hub, transport }, reader)
     }
 
     #[derive(Clone, Debug)]
@@ -1354,6 +766,11 @@ mod tests {
             out.push(7);
         }
     }
+    impl Decode for Pulse {
+        fn decode_from(r: &mut whisper_wire::Reader<'_>) -> Result<Self, whisper_wire::WireError> {
+            r.u8().map(|_| Pulse)
+        }
+    }
 
     #[test]
     fn telemetry_queues_on_contention_and_sheds_when_queue_fills() {
@@ -1364,19 +781,19 @@ mod tests {
         // Uncontended: the telemetry frame goes out on the socket.
         out.send(from, to, Pulse);
         {
-            let m = out.metrics.lock().snapshot();
+            let m = out.hub.metrics.lock().snapshot();
             assert_eq!(m.sent_of_kind("pulse-report"), 1);
             assert_eq!(m.lost, 0);
         }
 
         // Contended with queue space: frames park in the link's outbound
         // queue instead of shedding, and send() never blocks.
-        let guard = out.links.slot(0, 1).writer.lock();
+        let guard = out.transport.links.slot(0, 1).writer.lock();
         for _ in 0..LINK_QUEUE_CAP {
             out.send(from, to, Pulse);
         }
         {
-            let m = out.metrics.lock().snapshot();
+            let m = out.hub.metrics.lock().snapshot();
             assert_eq!(m.sent_of_kind("pulse-report"), 1 + LINK_QUEUE_CAP as u64);
             assert_eq!(m.lost, 0, "queued telemetry must not count as shed");
         }
@@ -1385,7 +802,7 @@ mod tests {
         // same accounting as the pre-batching try_lock shed path.
         out.send(from, to, Pulse);
         {
-            let m = out.metrics.lock().snapshot();
+            let m = out.hub.metrics.lock().snapshot();
             assert_eq!(m.sent_of_kind("pulse-report"), 2 + LINK_QUEUE_CAP as u64);
             assert_eq!(m.lost, 1);
         }
@@ -1394,7 +811,7 @@ mod tests {
         // The next direct send drains the backlog ahead of itself in one
         // vectored write.
         out.send(from, to, Pulse);
-        let m = out.metrics.lock().snapshot();
+        let m = out.hub.metrics.lock().snapshot();
         assert_eq!(m.batch_flushes, 1);
         assert_eq!(m.frames_coalesced, LINK_QUEUE_CAP as u64);
         assert_eq!(m.lost, 1);
@@ -1402,48 +819,48 @@ mod tests {
 
     #[test]
     fn contended_frames_flush_in_link_order() {
-        let (out, mut reader) = hand_built_outbound::<M>();
+        let (out, mut reader) = hand_built_outbound::<Ping>();
         let from = NodeId::from_index(0);
         let to = NodeId::from_index(1);
 
         // Park three protocol frames behind a held writer lock — none may
         // block or shed — then release and send a fourth directly.
-        let guard = out.links.slot(0, 1).writer.lock();
+        let guard = out.transport.links.slot(0, 1).writer.lock();
         for n in 0..3 {
-            out.send(from, to, M::Ping(n));
+            out.send(from, to, Ping(n));
         }
         {
-            let m = out.metrics.lock().snapshot();
+            let m = out.hub.metrics.lock().snapshot();
             assert_eq!(m.sent_of_kind("ping"), 3);
             assert_eq!(m.lost, 0);
             assert_eq!(m.backpressure_waits, 0);
         }
         drop(guard);
-        out.send(from, to, M::Ping(3));
+        out.send(from, to, Ping(3));
 
         // The wire carries the queued frames first, then the direct one:
         // link FIFO survives batching.
         let mut payload = Vec::new();
         for expect in 0..4u32 {
             assert!(read_frame_into(&mut reader, &mut payload).unwrap());
-            let (msg, _) = decode_clocked::<M>(&payload).unwrap();
-            assert_eq!(msg, M::Ping(expect));
+            let (msg, _) = decode_clocked::<Ping>(&payload).unwrap();
+            assert_eq!(msg, Ping(expect));
         }
-        let m = out.metrics.lock().snapshot();
+        let m = out.hub.metrics.lock().snapshot();
         assert_eq!(m.batch_flushes, 1);
         assert_eq!(m.frames_coalesced, 3);
     }
 
     #[test]
     fn full_queue_applies_backpressure_to_protocol_traffic_without_loss() {
-        let (out, mut reader) = hand_built_outbound::<M>();
+        let (out, mut reader) = hand_built_outbound::<Ping>();
         let out = Arc::new(out);
         let from = NodeId::from_index(0);
         let to = NodeId::from_index(1);
 
-        let guard = out.links.slot(0, 1).writer.lock();
+        let guard = out.transport.links.slot(0, 1).writer.lock();
         for n in 0..LINK_QUEUE_CAP as u32 {
-            out.send(from, to, M::Ping(n));
+            out.send(from, to, Ping(n));
         }
         // One more protocol frame from another thread: the queue is full,
         // so that sender must wait for the writer rather than shed. Only
@@ -1451,11 +868,11 @@ mod tests {
         // so the blocking path is exercised deterministically.
         let o2 = Arc::clone(&out);
         let blocked = std::thread::spawn(move || {
-            o2.send(from, to, M::Ping(LINK_QUEUE_CAP as u32));
+            o2.send(from, to, Ping(LINK_QUEUE_CAP as u32));
         });
         let o3 = Arc::clone(&out);
         wait_until("sender never hit the full-queue backpressure path", || {
-            o3.metrics.lock().snapshot().backpressure_waits == 1
+            o3.hub.metrics.lock().snapshot().backpressure_waits == 1
         });
         drop(guard);
         blocked.join().unwrap();
@@ -1463,84 +880,117 @@ mod tests {
         let mut payload = Vec::new();
         for expect in 0..=LINK_QUEUE_CAP as u32 {
             assert!(read_frame_into(&mut reader, &mut payload).unwrap());
-            let (msg, _) = decode_clocked::<M>(&payload).unwrap();
-            assert_eq!(msg, M::Ping(expect));
+            let (msg, _) = decode_clocked::<Ping>(&payload).unwrap();
+            assert_eq!(msg, Ping(expect));
         }
-        let m = out.metrics.lock().snapshot();
+        let m = out.hub.metrics.lock().snapshot();
         assert_eq!(m.lost, 0, "protocol traffic must never shed");
         assert_eq!(m.backpressure_waits, 1);
         assert_eq!(m.sent_of_kind("ping"), LINK_QUEUE_CAP as u64 + 1);
     }
 
     #[test]
-    fn shutdown_joins_everything_and_returns_actors() {
-        let mut b = TcpNetBuilder::new();
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
-        let net = b.start().unwrap();
-        assert_eq!(net.node_count(), 3);
-        let actors = net.shutdown();
-        assert_eq!(actors.len(), 3);
-        assert!(actors[0].downcast_ref::<Echo>().is_some());
-    }
-
-    #[test]
     fn kill_then_restart_re_dials_sockets() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
+        let (a, a_hits) = Echo::new();
+        let (z, b_hits) = Echo::new();
         let mut b = TcpNetBuilder::new();
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
+        let na = b.add_node(a);
+        let nb = b.add_node(z);
         let net = b.start().unwrap();
+        let hits = |c: &AtomicU32| c.load(Ordering::SeqCst);
 
         // Round trip while healthy.
-        net.inject(na, nb, M::Ping(1));
-        let (a, bb) = (a_hits.clone(), b_hits.clone());
+        net.inject(na, nb, Ping(1));
         wait_until("healthy ping-pong did not complete", || {
-            a.load(Ordering::SeqCst) + bb.load(Ordering::SeqCst) >= 2
+            hits(&a_hits) + hits(&b_hits) >= 2
         });
 
-        // Kill b: traffic to it drops sender-side instead of blocking.
+        // Kill b: its sockets are gone when the call returns, and traffic
+        // to it drops sender-side instead of blocking.
         net.kill_node(nb);
-        std::thread::sleep(Duration::from_millis(20));
-        let before = b_hits.load(Ordering::SeqCst);
-        net.inject(na, na, M::Ping(0)); // keep a alive; a's reply path is gone
-        let mn = net.metrics_snapshot();
-        assert!(mn.sent >= 3);
+        assert!(net.net.transport.links.slot(0, 1).writer.lock().is_none());
+        let before = hits(&b_hits);
+        net.inject(nb, na, Ping(1)); // a's reply finds the gate closed
+        wait_until("reply to the dead node was not dropped", || {
+            net.metrics_snapshot().to_down >= 1
+        });
 
-        // Restart b: fresh sockets, on_restart fires, traffic flows again
-        // over the re-dialed links (inject to a, which pings b via socket).
+        // Restart b: fresh sockets are in place when the call returns,
+        // on_restart fires, and traffic flows again over the re-dialed
+        // links (inject to a, which pings b via socket).
         net.restart_node(nb);
-        std::thread::sleep(Duration::from_millis(20));
-        net.inject(nb, na, M::Ping(1)); // a replies to b over the new link
-        let bb = b_hits.clone();
+        assert!(net.net.transport.links.slot(0, 1).writer.lock().is_some());
+        net.inject(nb, na, Ping(1)); // a replies to b over the new link
         wait_until("restarted node never heard socket traffic", || {
-            bb.load(Ordering::SeqCst) > before
+            hits(&b_hits) > before
         });
         net.shutdown();
     }
 
+    #[test]
+    fn restart_of_a_live_node_leaves_its_sockets_alone() {
+        let (net, kept) = keeper_net();
+        // Half a frame sits in the 0 → 1 reader's buffer. A re-dial would
+        // throw it away with the old socket; a restart that finds the
+        // node up must not touch the link.
+        let frame = framed(7..8);
+        let (first, rest) = frame.split_at(frame.len() / 2);
+        write_raw(&net, std::iter::once(first.to_vec()));
+        net.restart_node(NodeId::from_index(1));
+        write_raw(&net, std::iter::once(rest.to_vec()));
+        wait_until("the frame split around the restart was lost", || {
+            kept.lock().len() == 1
+        });
+        assert_eq!(*kept.lock(), [7]);
+        net.shutdown();
+    }
+
+    #[test]
+    fn delayed_writer_drains_what_was_parked_behind_it() {
+        let (out, mut reader) = hand_built_outbound::<Ping>();
+        let from = NodeId::from_index(0);
+        let to = NodeId::from_index(1);
+        reader
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+
+        // A gray-delayed frame sits on the pump, which will block on the
+        // writer we hold; a clean frame sent meanwhile finds the writer
+        // busy and parks, trusting the holder to drain behind itself.
+        let guard = out.transport.links.slot(0, 1).writer.lock();
+        let slow = DegradeSpec {
+            latency: SimDuration::from_millis(1),
+            ..DegradeSpec::default()
+        };
+        out.hub.chaos.apply(FaultAction::Degrade(from, to, slow));
+        out.send(from, to, Ping(1));
+        out.hub.chaos.apply(FaultAction::Restore(from, to));
+        out.send(from, to, Ping(2));
+        drop(guard);
+
+        // The pump's write is the only writer left: it must flush the
+        // parked frame too, or it is stranded until the next send.
+        let mut payload = Vec::new();
+        let mut got = Vec::new();
+        for _ in 0..2 {
+            assert!(
+                read_frame_into(&mut reader, &mut payload).expect("a parked frame was stranded")
+            );
+            got.push(decode_clocked::<Ping>(&payload).unwrap().0);
+        }
+        assert_eq!(got, [Ping(2), Ping(1)], "parked frames go out first");
+    }
+
     /// Node 1 of a two-node net keeps every ping it hears.
     struct Keep(Arc<Mutex<Vec<u32>>>);
-    impl Actor<M> for Keep {
-        fn on_message(&mut self, _: &mut Context<'_, M>, _: NodeId, msg: M) {
-            let M::Ping(n) = msg;
+    impl Actor<Ping> for Keep {
+        fn on_message(&mut self, _: &mut Context<'_, Ping>, _: NodeId, msg: Ping) {
+            let Ping(n) = msg;
             self.0.lock().push(n);
         }
     }
 
-    fn keeper_net() -> (TcpNet<M>, Arc<Mutex<Vec<u32>>>) {
+    fn keeper_net() -> (TcpNet<Ping>, Arc<Mutex<Vec<u32>>>) {
         let kept = Arc::new(Mutex::new(Vec::new()));
         let mut b = TcpNetBuilder::new();
         b.add_node(Keep(Arc::new(Mutex::new(Vec::new()))));
@@ -1550,7 +1000,7 @@ mod tests {
 
     /// The frames of `pings`, back to back, as they travel on a link.
     fn framed(pings: std::ops::Range<u32>) -> Vec<u8> {
-        let payloads: Vec<Vec<u8>> = pings.map(|n| M::Ping(n).encode()).collect();
+        let payloads: Vec<Vec<u8>> = pings.map(|n| Ping(n).encode()).collect();
         let slices: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
         let mut bytes = Vec::new();
         write_frames_vectored(&mut bytes, &slices).unwrap();
@@ -1558,9 +1008,9 @@ mod tests {
     }
 
     /// Writes raw bytes on the 0 → 1 link's current socket.
-    fn write_raw(net: &TcpNet<M>, chunks: impl Iterator<Item = Vec<u8>>) {
+    fn write_raw(net: &TcpNet<Ping>, chunks: impl Iterator<Item = Vec<u8>>) {
         use std::io::Write;
-        let mut slot = net.ctl.links.slot(0, 1).writer.lock();
+        let mut slot = net.net.transport.links.slot(0, 1).writer.lock();
         let stream = &mut slot.as_mut().expect("link is up").stream;
         for chunk in chunks {
             stream.write_all(&chunk).unwrap();
@@ -1619,14 +1069,10 @@ mod tests {
         // same lock. Shutting the read half first is what breaks the
         // blocked write; without it this test hangs.
         let mut b = TcpNetBuilder::new();
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
+        b.add_node(Echo::new().0);
+        b.add_node(Echo::new().0);
         let net = b.start().unwrap();
-        let links = Arc::clone(&net.ctl.links);
+        let links = Arc::clone(&net.net.transport.links);
         let done = Arc::new(AtomicU32::new(0));
         let d = done.clone();
         let writer_thread = std::thread::spawn(move || {

@@ -1,748 +1,75 @@
-//! Real-time execution of [`Actor`]s over OS threads and channels.
+//! Real-time execution of [`Actor`](crate::Actor)s over OS threads and
+//! channels.
 //!
-//! [`ThreadNet`] runs each actor on its own thread, connected by unbounded
-//! crossbeam channels; timers are real-time deadlines. This gives wall-clock
-//! numbers for Criterion benches from exactly the protocol code that the
-//! deterministic [`SimNet`](crate::SimNet) exercises in tests.
+//! [`ThreadNet`] is the [live runtime](crate::live) over
+//! [`ChannelTransport`]: each actor on its own thread, every message
+//! handed straight to the destination's unbounded crossbeam mailbox;
+//! timers are real-time deadlines. This gives wall-clock numbers for
+//! Criterion benches from exactly the protocol code that the
+//! deterministic [`SimNet`](crate::SimNet) exercises in tests — and the
+//! same actor objects run unmodified over real sockets on
+//! [`tcpnet::TcpNet`](crate::tcpnet::TcpNet), which differs from this
+//! module only in its links.
 //!
-//! The node loop is transport-agnostic: outgoing sends go through the
-//! crate-internal `Outbound` trait, which [`ThreadNet`] backs with channels
-//! and [`tcpnet::TcpNet`](crate::tcpnet::TcpNet) backs with real TCP
-//! loopback sockets — the same actor objects run unmodified on either.
-//!
-//! Faults are first-class here, just like on the simulator: a node can be
-//! killed and later restarted (its `on_restart` hook fires, its timers and
-//! queued messages from the down period are gone), and link pairs can be
-//! blocked to emulate partitions. Sends to a down node or across a blocked
-//! pair are dropped sender-side and accounted exactly like the engine's
-//! [`Metrics`] do, so a [`FaultPlan`] replayed by
-//! [`Substrate::execute_plan`](crate::Substrate::execute_plan) produces
-//! comparable counters on every substrate.
+//! Builder, node loop, send pipeline, fault controller and handle are the
+//! live runtime's; what this module owns is the transport below, the two
+//! names and the infallible [`ThreadNetBuilder::start`].
 
-use crate::chaos::{ChaosDecision, ChaosState, DelayPump};
-use crate::engine::{
-    Actor, Context, FlightHook, NetHook, NodeId, Op, SelfInjector, TimerId, TraceOutcome,
-};
-use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::substrate::FaultDriver;
-use crate::time::SimTime;
-use crate::{DynActor, FaultAction, FaultPlan, Wire};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use std::any::Any;
-use std::collections::{BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::engine::NodeId;
+use crate::live::{Hub, LiveNet, LiveNetBuilder, Transport};
+use crate::Wire;
+use std::io;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// The shared, thread-safe form of an installed [`NetHook`].
-pub(crate) type SharedHook = Arc<Mutex<Box<dyn NetHook + Send>>>;
+/// Channel-backed links: a message crosses by being put into the
+/// destination's mailbox, with no byte stage. Its size on the "link" is
+/// its `wire_size()`, and a corrupted message is a counted decode error.
+pub struct ChannelTransport;
 
-/// Per-node flight recorders shared between sender threads (which stamp
-/// outgoing messages with a Lamport clock) and node loops (which merge the
-/// incoming stamp). Slots without a hook cost one `Option` check — the
-/// always-on recorder is cheap and uninstalled nodes are free.
-pub(crate) struct FlightTable {
-    hooks: Vec<Option<Mutex<Box<dyn FlightHook + Send>>>>,
-}
+impl<M: Wire> Transport<M> for ChannelTransport {
+    const NAME: &'static str = "threadnet";
 
-impl FlightTable {
-    pub(crate) fn new(n: usize, installed: Vec<(NodeId, Box<dyn FlightHook + Send>)>) -> Self {
-        let mut hooks: Vec<Option<Mutex<Box<dyn FlightHook + Send>>>> =
-            (0..n).map(|_| None).collect();
-        for (node, hook) in installed {
-            if let Some(slot) = hooks.get_mut(node.index()) {
-                *slot = Some(Mutex::new(hook));
-            }
-        }
-        FlightTable { hooks }
+    fn open(_: &Arc<Hub<M>>) -> io::Result<Self> {
+        Ok(ChannelTransport)
     }
 
-    /// Whether `node` has a recorder installed. The transports check this
-    /// before paying for the hook's arguments (a wall-clock read, the
-    /// correlation lookup, the trailing clock varint on TCP frames), so an
-    /// unhooked hot path costs exactly one slot load.
-    pub(crate) fn armed(&self, node: NodeId) -> bool {
-        self.hooks
-            .get(node.index())
-            .is_some_and(|slot| slot.is_some())
+    fn deliver(&self, hub: &Arc<Hub<M>>, from: NodeId, to: NodeId, msg: M) {
+        hub.post(from, to, msg);
     }
 
-    pub(crate) fn on_send(
+    fn deliver_delayed(
         &self,
+        hub: &Arc<Hub<M>>,
         from: NodeId,
-        now: SimTime,
         to: NodeId,
-        kind: &'static str,
-        bytes: usize,
-        correlation: Option<u64>,
-    ) -> u64 {
-        match self.hooks.get(from.index()).and_then(Option::as_ref) {
-            Some(h) => h.lock().on_send_msg(now, to, kind, bytes, correlation),
-            None => 0,
-        }
-    }
-
-    // The argument list mirrors the wire frame one-to-one; bundling them
-    // into a struct would just move the field list one hop away.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_recv(
-        &self,
-        node: NodeId,
-        now: SimTime,
-        from: NodeId,
-        kind: &'static str,
-        bytes: usize,
-        correlation: Option<u64>,
-        clock: u64,
+        msg: M,
+        delay: Duration,
+        copies: u32,
     ) {
-        if let Some(h) = self.hooks.get(node.index()).and_then(Option::as_ref) {
-            h.lock()
-                .on_recv_msg(now, from, kind, bytes, correlation, clock);
-        }
+        hub.post_delayed(from, to, msg, delay, copies);
     }
 
-    pub(crate) fn on_fault(&self, node: NodeId, now: SimTime, action: &str) {
-        if let Some(h) = self.hooks.get(node.index()).and_then(Option::as_ref) {
-            h.lock().on_fault(now, action);
-        }
+    fn deliver_corrupt(&self, hub: &Arc<Hub<M>>, from: NodeId, to: NodeId, msg: M) {
+        hub.post_corrupt(from, to, msg);
     }
 }
 
-pub(crate) enum Ctl<M> {
-    /// A delivered message: sender, payload, and the sender's Lamport stamp
-    /// (0 when the sender records no flight data).
-    Msg(NodeId, M, u64),
-    /// Crash the node: it drops messages and timers until restarted.
-    Crash,
-    /// Bring a crashed node back; its `on_restart` hook runs.
-    Restart,
-    /// Tear the node down for good; the thread exits and returns the actor.
-    Shutdown,
-}
-
-/// Live fault state shared between the transports and the fault drivers:
-/// which nodes are up, and which unordered link pairs are blocked.
-///
-/// Checked sender-side on every transport send, mirroring how the
-/// simulator's engine drops at the send event — a message to a down node
-/// or across a blocked pair never reaches the destination's queue.
-pub(crate) struct FaultState {
-    up: Vec<AtomicBool>,
-    /// Unordered blocked pairs, stored as (min, max).
-    blocked: Mutex<HashSet<(u32, u32)>>,
-    /// Cheap emptiness gate so the unblocked hot path never takes the lock.
-    blocked_count: AtomicUsize,
-}
-
-impl FaultState {
-    pub(crate) fn new(n: usize) -> Self {
-        FaultState {
-            up: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            blocked: Mutex::new(HashSet::new()),
-            blocked_count: AtomicUsize::new(0),
-        }
-    }
-
-    pub(crate) fn is_up(&self, node: NodeId) -> bool {
-        self.up
-            .get(node.index())
-            .map(|b| b.load(Ordering::Acquire))
-            .unwrap_or(false)
-    }
-
-    pub(crate) fn set_up(&self, node: NodeId, up: bool) {
-        if let Some(b) = self.up.get(node.index()) {
-            b.store(up, Ordering::Release);
-        }
-    }
-
-    fn pair(a: NodeId, b: NodeId) -> (u32, u32) {
-        let (x, y) = (a.index() as u32, b.index() as u32);
-        (x.min(y), x.max(y))
-    }
-
-    pub(crate) fn is_blocked(&self, a: NodeId, b: NodeId) -> bool {
-        self.blocked_count.load(Ordering::Acquire) != 0
-            && self.blocked.lock().contains(&Self::pair(a, b))
-    }
-
-    pub(crate) fn set_blocked(&self, a: NodeId, b: NodeId, blocked: bool) {
-        let mut set = self.blocked.lock();
-        let changed = if blocked {
-            set.insert(Self::pair(a, b))
-        } else {
-            set.remove(&Self::pair(a, b))
-        };
-        if changed {
-            self.blocked_count.store(set.len(), Ordering::Release);
-        }
-    }
-}
-
-/// How a node thread pushes a message toward another node.
-///
-/// `ThreadNet` sends over in-process channels; `TcpNet` encodes to bytes and
-/// writes a frame to the link's socket. The node loop (`run_node`) is
-/// oblivious to which one it is running on.
-pub(crate) trait Outbound<M>: Send + Sync {
-    fn send(&self, from: NodeId, to: NodeId, msg: M);
-}
-
-/// Channel-backed transport: delivery is a crossbeam send, gated by the
-/// shared [`FaultState`] exactly like the TCP transport's socket writes.
-pub(crate) struct ChannelOutbound<M> {
-    senders: Vec<Sender<Ctl<M>>>,
-    metrics: Arc<Mutex<Metrics>>,
-    faults: Arc<FaultState>,
-    hook: Option<SharedHook>,
-    flights: Arc<FlightTable>,
-    epoch: Instant,
-    chaos: Arc<ChaosState>,
-    pump: Arc<DelayPump>,
-    pump_seq: Arc<AtomicU64>,
-}
-
-impl<M> ChannelOutbound<M> {
-    fn hook_now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-}
-
-impl<M: Wire> Outbound<M> for ChannelOutbound<M> {
-    fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        let size = msg.wire_size();
-        let kind = msg.kind();
-        self.metrics.lock().on_send(kind, size);
-        if let Some(hook) = &self.hook {
-            hook.lock().on_send(self.hook_now(), from, to, kind, size);
-        }
-        // Stamp before the fault gates: the send happened even if the
-        // message then dies on a blocked pair, matching the engine. An
-        // unhooked sender skips the stamp (and the wall-clock read it
-        // needs) and ships clock 0, same as the TCP compat frames.
-        let clock = if self.flights.armed(from) {
-            self.flights
-                .on_send(from, self.hook_now(), to, kind, size, msg.correlation())
-        } else {
-            0
-        };
-        if from != to && self.faults.is_blocked(from, to) {
-            self.metrics.lock().on_drop_partition();
-            if let Some(hook) = &self.hook {
-                hook.lock()
-                    .on_drop(self.hook_now(), from, to, kind, TraceOutcome::Partitioned);
-            }
-            return;
-        }
-        if !self.faults.is_up(to) {
-            self.metrics.lock().on_drop_down();
-            if let Some(hook) = &self.hook {
-                hook.lock().on_drop(
-                    self.hook_now(),
-                    from,
-                    to,
-                    kind,
-                    TraceOutcome::DestinationDown,
-                );
-            }
-            return;
-        }
-        // Gray degradation, decided sender-side like the engine's chaos
-        // arm. The idle path costs one atomic load inside `decide`.
-        match self.chaos.decide(from.0, to.0) {
-            ChaosDecision::Clean => {}
-            ChaosDecision::Drop => {
-                self.metrics.lock().on_lost();
-                if let Some(hook) = &self.hook {
-                    hook.lock()
-                        .on_drop(self.hook_now(), from, to, kind, TraceOutcome::Lost);
-                }
-                return;
-            }
-            ChaosDecision::Corrupt => {
-                // No byte stage on channels: a corrupted message is a
-                // counted decode error at the receiver, same observable
-                // as tcpnet's real bit-flip.
-                self.metrics.lock().on_decode_error();
-                if let Some(hook) = &self.hook {
-                    hook.lock()
-                        .on_drop(self.hook_now(), from, to, kind, TraceOutcome::Lost);
-                }
-                self.flights
-                    .on_fault(to, self.hook_now(), &format!("decode-error {from} {to}"));
-                return;
-            }
-            ChaosDecision::Deliver { delay, duplicate } => {
-                let copies = if duplicate { 2 } else { 1 };
-                for i in 0..copies {
-                    let Some(tx) = self.senders.get(to.index()).cloned() else {
-                        return;
-                    };
-                    let metrics = Arc::clone(&self.metrics);
-                    let m = msg.clone();
-                    let seq = self.pump_seq.fetch_add(1, Ordering::Relaxed);
-                    let beat = delay + Duration::from_micros(200 * i as u64);
-                    self.pump.after(
-                        beat,
-                        seq,
-                        Box::new(move || {
-                            if tx.send(Ctl::Msg(from, m, clock)).is_ok() {
-                                metrics.lock().on_deliver();
-                            }
-                        }),
-                    );
-                }
-                return;
-            }
-        }
-        if let Some(tx) = self.senders.get(to.index()) {
-            if tx.send(Ctl::Msg(from, msg, clock)).is_ok() {
-                self.metrics.lock().on_deliver();
-            }
-        }
-    }
-}
-
-struct PendingTimer {
-    deadline: Instant,
-    id: TimerId,
-    token: u64,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.id == other.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // invert: BinaryHeap is a max-heap, we want the earliest deadline
-        other.deadline.cmp(&self.deadline)
-    }
-}
-
-pub(crate) struct Shared<M> {
-    pub(crate) outbound: Arc<dyn Outbound<M>>,
-    pub(crate) flights: Arc<FlightTable>,
-    pub(crate) epoch: Instant,
-}
-
-impl<M> Clone for Shared<M> {
-    fn clone(&self) -> Self {
-        Shared {
-            outbound: Arc::clone(&self.outbound),
-            flights: Arc::clone(&self.flights),
-            epoch: self.epoch,
-        }
-    }
-}
-
-pub(crate) trait Spawnable<M: Wire>: Send {
-    fn spawn(
-        self: Box<Self>,
-        id: NodeId,
-        rx: Receiver<Ctl<M>>,
-        shared: Shared<M>,
-    ) -> JoinHandle<Box<dyn Any + Send>>;
-}
-
-pub(crate) struct Holder<A>(pub(crate) A);
-
-impl<M: Wire, A: Actor<M> + Any + Send + 'static> Spawnable<M> for Holder<A> {
-    fn spawn(
-        self: Box<Self>,
-        id: NodeId,
-        rx: Receiver<Ctl<M>>,
-        shared: Shared<M>,
-    ) -> JoinHandle<Box<dyn Any + Send>> {
-        std::thread::spawn(move || {
-            let mut actor = self.0;
-            run_node(&mut actor, id, rx, shared);
-            Box::new(actor) as Box<dyn Any + Send>
-        })
-    }
-}
-
-/// An already-boxed actor from the substrate-agnostic deployment path
-/// ([`Spawner::add_boxed`](crate::Spawner::add_boxed)); the thread returns
-/// the inner concrete type so `downcast_ref` keeps working after shutdown.
-pub(crate) struct BoxHolder<M>(pub(crate) Box<dyn DynActor<M>>);
-
-impl<M: Wire> Spawnable<M> for BoxHolder<M> {
-    fn spawn(
-        self: Box<Self>,
-        id: NodeId,
-        rx: Receiver<Ctl<M>>,
-        shared: Shared<M>,
-    ) -> JoinHandle<Box<dyn Any + Send>> {
-        std::thread::spawn(move || {
-            let mut actor = self.0;
-            run_node(&mut *actor, id, rx, shared);
-            actor.into_any()
-        })
-    }
-}
-
-pub(crate) fn run_node<M: Wire>(
-    actor: &mut dyn Actor<M>,
-    id: NodeId,
-    rx: Receiver<Ctl<M>>,
-    shared: Shared<M>,
-) {
-    let mut rng = SmallRng::seed_from_u64(0x5157_0000 + id.index() as u64);
-    let mut next_timer: u64 = 0;
-    let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
-    let mut cancelled: HashSet<TimerId> = HashSet::new();
-    // Off-loop work (worker pools) re-enters the node through its own
-    // mailbox: a self-send on the transport respects the node's up/down
-    // gate, so completions racing a crash are dropped like any message.
-    let injector = SelfInjector::new(id, {
-        let outbound = Arc::clone(&shared.outbound);
-        Arc::new(move |msg| outbound.send(id, id, msg))
-    });
-    // Crash-stop state: while down the node drops messages and timers, the
-    // same observable behavior as the engine's crashed nodes.
-    let mut up = true;
-
-    enum Hook<M> {
-        Start,
-        Restart,
-        Message(NodeId, M),
-        Timer(u64),
-    }
-
-    let run_hook = |actor: &mut dyn Actor<M>,
-                    hook: Hook<M>,
-                    rng: &mut SmallRng,
-                    next_timer: &mut u64,
-                    timers: &mut BinaryHeap<PendingTimer>,
-                    cancelled: &mut HashSet<TimerId>| {
-        let now = SimTime::from_micros(shared.epoch.elapsed().as_micros() as u64);
-        let mut ctx = Context::detached(now, id, next_timer, rng, Some(&injector));
-        match hook {
-            Hook::Start => actor.on_start(&mut ctx),
-            Hook::Restart => actor.on_restart(&mut ctx),
-            Hook::Message(from, m) => actor.on_message(&mut ctx, from, m),
-            Hook::Timer(token) => actor.on_timer(&mut ctx, token),
-        }
-        let ops = ctx.take_ops();
-        let now_i = Instant::now();
-        for op in ops {
-            match op {
-                Op::Send { to, msg } => {
-                    shared.outbound.send(id, to, msg);
-                }
-                Op::SetTimer {
-                    id: tid,
-                    delay,
-                    token,
-                } => {
-                    timers.push(PendingTimer {
-                        deadline: now_i + Duration::from_micros(delay.as_micros()),
-                        id: tid,
-                        token,
-                    });
-                }
-                Op::CancelTimer(tid) => {
-                    cancelled.insert(tid);
-                }
-            }
-        }
-    };
-
-    run_hook(
-        actor,
-        Hook::Start,
-        &mut rng,
-        &mut next_timer,
-        &mut timers,
-        &mut cancelled,
-    );
-    loop {
-        // Fire all due timers (none are pending while down: a crash clears
-        // the heap and no hooks run to arm new ones).
-        loop {
-            let due = match timers.peek() {
-                Some(t) if t.deadline <= Instant::now() => timers.pop().expect("peeked"),
-                _ => break,
-            };
-            if !cancelled.remove(&due.id) {
-                run_hook(
-                    actor,
-                    Hook::Timer(due.token),
-                    &mut rng,
-                    &mut next_timer,
-                    &mut timers,
-                    &mut cancelled,
-                );
-            }
-        }
-        let timeout = timers
-            .peek()
-            .map(|t| t.deadline.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(Ctl::Msg(from, m, clock)) => {
-                if up {
-                    if shared.flights.armed(id) {
-                        shared.flights.on_recv(
-                            id,
-                            SimTime::from_micros(shared.epoch.elapsed().as_micros() as u64),
-                            from,
-                            m.kind(),
-                            m.wire_size(),
-                            m.correlation(),
-                            clock,
-                        );
-                    }
-                    run_hook(
-                        actor,
-                        Hook::Message(from, m),
-                        &mut rng,
-                        &mut next_timer,
-                        &mut timers,
-                        &mut cancelled,
-                    )
-                }
-                // else: the message raced the crash; a down node hears nothing.
-            }
-            Ok(Ctl::Crash) => {
-                up = false;
-                timers.clear();
-                cancelled.clear();
-            }
-            Ok(Ctl::Restart) => {
-                if !up {
-                    up = true;
-                    run_hook(
-                        actor,
-                        Hook::Restart,
-                        &mut rng,
-                        &mut next_timer,
-                        &mut timers,
-                        &mut cancelled,
-                    );
-                }
-            }
-            Ok(Ctl::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-    }
-}
-
-/// Applies one [`FaultAction`] to a live channel-backed network; shared by
-/// [`ThreadNet`]'s direct fault methods and its real-time fault driver.
-struct ThreadFaultCtl<M> {
-    senders: Vec<Sender<Ctl<M>>>,
-    faults: Arc<FaultState>,
-    flights: Arc<FlightTable>,
-    chaos: Arc<ChaosState>,
-    epoch: Instant,
-}
-
-impl<M> ThreadFaultCtl<M> {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn apply(&self, action: FaultAction) {
-        match action {
-            FaultAction::Crash(node) => {
-                // Flip the sender-side gate first so in-flight sends start
-                // dropping before the node even processes the crash marker.
-                self.faults.set_up(node, false);
-                self.flights
-                    .on_fault(node, self.now(), &format!("kill {node}"));
-                if let Some(tx) = self.senders.get(node.index()) {
-                    let _ = tx.send(Ctl::Crash);
-                }
-            }
-            FaultAction::Restart(node) => {
-                self.faults.set_up(node, true);
-                self.flights
-                    .on_fault(node, self.now(), &format!("restart {node}"));
-                if let Some(tx) = self.senders.get(node.index()) {
-                    let _ = tx.send(Ctl::Restart);
-                }
-            }
-            FaultAction::Block(a, b) => {
-                self.faults.set_blocked(a, b, true);
-                self.flights
-                    .on_fault(a, self.now(), &format!("block {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now(), &format!("block {a} {b}"));
-            }
-            FaultAction::Unblock(a, b) => {
-                self.faults.set_blocked(a, b, false);
-                self.flights
-                    .on_fault(a, self.now(), &format!("unblock {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now(), &format!("unblock {a} {b}"));
-            }
-            FaultAction::Degrade(a, b, _) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(a, self.now(), &format!("degrade {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now(), &format!("degrade {a} {b}"));
-            }
-            FaultAction::Restore(a, b) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(a, self.now(), &format!("restore {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now(), &format!("restore {a} {b}"));
-            }
-            FaultAction::Stall(node, _) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(node, self.now(), &format!("stall {node}"));
-            }
-            FaultAction::Slow(node, _) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(node, self.now(), &format!("slow {node}"));
-            }
-        }
-    }
-}
-
-/// Collects actors before spawning threads.
-///
-/// Node ids are assigned in registration order, matching
-/// [`SimNet::add_node`](crate::SimNet::add_node), so the same wiring code
-/// can target either runtime.
-pub struct ThreadNetBuilder<M: Wire> {
-    actors: Vec<Box<dyn Spawnable<M>>>,
-    hook: Option<Box<dyn NetHook + Send>>,
-    flights: Vec<(NodeId, Box<dyn FlightHook + Send>)>,
-    chaos_seed: u64,
-}
-
-impl<M: Wire> Default for ThreadNetBuilder<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Collects actors before spawning threads: the live runtime's
+/// [`LiveNetBuilder`] over [`ChannelTransport`].
+pub type ThreadNetBuilder<M> = LiveNetBuilder<M, ChannelTransport>;
 
 impl<M: Wire> ThreadNetBuilder<M> {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        ThreadNetBuilder {
-            actors: Vec::new(),
-            hook: None,
-            flights: Vec::new(),
-            chaos_seed: 0,
-        }
-    }
-
-    /// Seeds the gray-failure RNG, making chaos soaks reproducible: the
-    /// same seed and plan produce the same per-message loss/dup/corrupt
-    /// decisions (wall-clock interleavings still vary, as on any live
-    /// substrate).
-    pub fn set_chaos_seed(&mut self, seed: u64) {
-        self.chaos_seed = seed;
-    }
-
-    /// Registers an actor and returns its future node id.
-    pub fn add_node(&mut self, actor: impl Actor<M> + Any + 'static) -> NodeId {
-        let id = NodeId(self.actors.len() as u32);
-        self.actors.push(Box::new(Holder(actor)));
-        id
-    }
-
-    /// Registers an already-boxed actor (the deployment-layer path; see
-    /// [`Spawner`](crate::Spawner)).
-    pub fn add_boxed(&mut self, actor: Box<dyn DynActor<M>>) -> NodeId {
-        let id = NodeId(self.actors.len() as u32);
-        self.actors.push(Box::new(BoxHolder(actor)));
-        id
-    }
-
-    /// Installs a network hook observing every transport send and fault
-    /// drop, with the same callbacks the in-process engine uses. The hook
-    /// is shared across sender threads behind a mutex; keep it cheap.
-    pub fn set_net_hook(&mut self, hook: Box<dyn NetHook + Send>) {
-        self.hook = Some(hook);
-    }
-
-    /// Installs `node`'s flight recorder (see
-    /// [`FlightHook`]): sender threads ask it to stamp
-    /// every outgoing message with a Lamport clock, and the node's loop
-    /// hands it every delivery.
-    pub fn set_flight_hook(&mut self, node: NodeId, hook: Box<dyn FlightHook + Send>) {
-        self.flights.push((node, hook));
-    }
-
     /// Spawns every registered actor on its own thread and returns the
     /// running network. Each actor's `on_start` runs before its first
     /// message is processed.
     pub fn start(self) -> ThreadNet<M> {
-        let n = self.actors.len();
-        let metrics = Arc::new(Mutex::new(Metrics::new()));
-        let faults = Arc::new(FaultState::new(n));
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let epoch = Instant::now();
-        let flights = Arc::new(FlightTable::new(n, self.flights));
-        let chaos = Arc::new(ChaosState::new(self.chaos_seed));
-        let pump = DelayPump::start();
-        let outbound = ChannelOutbound {
-            senders: senders.clone(),
-            metrics: Arc::clone(&metrics),
-            faults: Arc::clone(&faults),
-            hook: self.hook.map(|h| Arc::new(Mutex::new(h))),
-            flights: Arc::clone(&flights),
-            epoch,
-            chaos: Arc::clone(&chaos),
-            pump: Arc::clone(&pump),
-            pump_seq: Arc::new(AtomicU64::new(0)),
-        };
-        let shared = Shared {
-            outbound: Arc::new(outbound) as Arc<dyn Outbound<M>>,
-            flights: Arc::clone(&flights),
-            epoch,
-        };
-        let handles = self
-            .actors
-            .into_iter()
-            .zip(receivers)
-            .enumerate()
-            .map(|(i, (a, rx))| a.spawn(NodeId(i as u32), rx, shared.clone()))
-            .collect();
-        ThreadNet {
-            ctl: ThreadFaultCtl {
-                senders,
-                faults,
-                flights,
-                chaos,
-                epoch,
-            },
-            handles,
-            metrics,
-            epoch,
-            drivers: Vec::new(),
-            pump,
-        }
+        self.boot().expect("channels always open")
     }
 }
 
-/// A running real-time network of actors.
+/// A running real-time network of actors on threads and channels: the
+/// live runtime's [`LiveNet`] over [`ChannelTransport`].
 ///
 /// # Examples
 ///
@@ -772,396 +99,46 @@ impl<M: Wire> ThreadNetBuilder<M> {
 /// assert_eq!(hits.load(Ordering::SeqCst), 1);
 /// assert_eq!(actors.len(), 1);
 /// ```
-pub struct ThreadNet<M: Wire> {
-    ctl: ThreadFaultCtl<M>,
-    handles: Vec<JoinHandle<Box<dyn Any + Send>>>,
-    metrics: Arc<Mutex<Metrics>>,
-    epoch: Instant,
-    drivers: Vec<FaultDriver>,
-    pump: Arc<DelayPump>,
-}
-
-impl<M: Wire> ThreadNet<M> {
-    /// Sends `msg` to `to` as if it came from `from`.
-    pub fn inject(&self, from: NodeId, to: NodeId, msg: M) {
-        self.metrics.lock().on_send(msg.kind(), msg.wire_size());
-        if let Some(tx) = self.ctl.senders.get(to.index()) {
-            if tx.send(Ctl::Msg(from, msg, 0)).is_ok() {
-                self.metrics.lock().on_deliver();
-            }
-        }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.ctl.senders.len()
-    }
-
-    /// Wall-clock time since the network started, on the same axis the
-    /// node loops report to actors.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    /// A detached snapshot of the transport metrics so far (a plain-data
-    /// copy, not a clone of the live registry).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.lock().snapshot()
-    }
-
-    /// Kills one node, as a crash: sends to it start dropping immediately,
-    /// its pending timers die, and it stays deaf until
-    /// [`ThreadNet::restart_node`]. Named like
-    /// [`SimNet::kill_node`](crate::SimNet::kill_node).
-    pub fn kill_node(&self, node: NodeId) {
-        self.ctl.apply(FaultAction::Crash(node));
-    }
-
-    /// Restarts a killed node: sends resume reaching it and its
-    /// `on_restart` hook runs, symmetric with [`ThreadNet::kill_node`].
-    pub fn restart_node(&self, node: NodeId) {
-        self.ctl.apply(FaultAction::Restart(node));
-    }
-
-    /// Blocks all traffic between `a` and `b` (both directions), as a
-    /// partition: such sends are dropped sender-side and counted as
-    /// partitioned.
-    pub fn block_link(&self, a: NodeId, b: NodeId) {
-        self.ctl.apply(FaultAction::Block(a, b));
-    }
-
-    /// Unblocks traffic between `a` and `b`.
-    pub fn unblock_link(&self, a: NodeId, b: NodeId) {
-        self.ctl.apply(FaultAction::Unblock(a, b));
-    }
-
-    /// Applies any [`FaultAction`] — including the gray kinds
-    /// (degrade/restore/stall/slow) — immediately.
-    pub fn apply_action(&self, action: FaultAction) {
-        self.ctl.apply(action);
-    }
-
-    /// Replays `plan` against the live network in real time: a fault-driver
-    /// thread sleeps until each action's wall-clock offset (measured from
-    /// network start) and applies it. Multiple plans may be in flight; all
-    /// drivers are stopped and joined by [`ThreadNet::shutdown`].
-    pub fn execute_plan(&mut self, plan: &FaultPlan) {
-        let senders = self.ctl.senders.clone();
-        let faults = Arc::clone(&self.ctl.faults);
-        let ctl = ThreadFaultCtl {
-            senders,
-            faults,
-            flights: Arc::clone(&self.ctl.flights),
-            chaos: Arc::clone(&self.ctl.chaos),
-            epoch: self.ctl.epoch,
-        };
-        self.drivers.push(FaultDriver::spawn(
-            plan,
-            self.epoch,
-            Box::new(move |action| ctl.apply(action)),
-        ));
-    }
-
-    /// Stops all node threads, draining queued messages first (the stop
-    /// marker queues behind them), and returns each actor in node order for
-    /// inspection via `Box<dyn Any>`. Fault drivers are stopped first, so
-    /// no action fires into a half-torn-down network.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any node thread.
-    pub fn shutdown(self) -> Vec<Box<dyn Any + Send>> {
-        for d in self.drivers {
-            d.stop();
-        }
-        // Chaos-delayed deliveries still in the pump die with the network,
-        // exactly like in-flight frames on a torn-down socket.
-        self.pump.shutdown();
-        for tx in &self.ctl.senders {
-            let _ = tx.send(Ctl::Shutdown);
-        }
-        self.handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect()
-    }
-}
+pub type ThreadNet<M> = LiveNet<M, ChannelTransport>;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::SimDuration;
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    #[derive(Clone, Debug)]
-    enum M {
-        Ping(u32),
-    }
-    impl Wire for M {
-        fn wire_size(&self) -> usize {
-            16
-        }
-        fn kind(&self) -> &'static str {
-            "ping"
-        }
-    }
-
-    struct Echo {
-        bounces: Arc<AtomicU32>,
-    }
-    impl Actor<M> for Echo {
-        fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-            let M::Ping(n) = msg;
-            self.bounces.fetch_add(1, Ordering::SeqCst);
-            if n > 0 {
-                ctx.send(from, M::Ping(n - 1));
-            }
-        }
-    }
+    use super::ChannelTransport as T;
+    use crate::live::suite;
 
     #[test]
     fn ping_pong_over_threads() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = ThreadNetBuilder::new();
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start();
-        net.inject(na, nb, M::Ping(9));
-        // 10 messages bounce; wait for them to drain
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while a_hits.load(Ordering::SeqCst) + b_hits.load(Ordering::SeqCst) < 10 {
-            assert!(Instant::now() < deadline, "ping-pong did not complete");
-            std::thread::yield_now();
-        }
-        let m = net.metrics_snapshot();
-        net.shutdown();
-        assert_eq!(
-            a_hits.load(Ordering::SeqCst) + b_hits.load(Ordering::SeqCst),
-            10
-        );
-        assert_eq!(m.sent_of_kind("ping"), 10);
+        suite::ping_pong::<T>();
     }
 
     #[test]
     fn chaos_degrade_drops_then_restore_heals() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = ThreadNetBuilder::new();
-        b.set_chaos_seed(42);
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start();
-        net.apply_action(FaultAction::Degrade(
-            na,
-            nb,
-            crate::DegradeSpec {
-                loss_pct: 100,
-                ..crate::DegradeSpec::default()
-            },
-        ));
-        // Injection bypasses the transport; na's *reply* crosses the
-        // degraded link and dies there.
-        net.inject(nb, na, M::Ping(3));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while net.metrics_snapshot().lost < 1 {
-            assert!(Instant::now() < deadline, "chaos loss never counted");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(b_hits.load(Ordering::SeqCst), 0);
-
-        net.apply_action(FaultAction::Restore(na, nb));
-        net.inject(nb, na, M::Ping(3));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while b_hits.load(Ordering::SeqCst) == 0 {
-            assert!(Instant::now() < deadline, "restored link never delivered");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        net.shutdown();
+        suite::chaos_degrade_drops_then_restore_heals::<T>();
     }
 
     #[test]
     fn chaos_dup_delivers_twice_and_corrupt_counts_decode_error() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = ThreadNetBuilder::new();
-        b.set_chaos_seed(42);
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start();
-        net.apply_action(FaultAction::Degrade(
-            na,
-            nb,
-            crate::DegradeSpec {
-                dup_pct: 100,
-                ..crate::DegradeSpec::default()
-            },
-        ));
-        // na's reply Ping(0) is duplicated: nb hears it twice.
-        net.inject(nb, na, M::Ping(1));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while b_hits.load(Ordering::SeqCst) < 2 {
-            assert!(Instant::now() < deadline, "duplicate never delivered");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        net.apply_action(FaultAction::Degrade(
-            na,
-            nb,
-            crate::DegradeSpec {
-                corrupt_pct: 100,
-                ..crate::DegradeSpec::default()
-            },
-        ));
-        net.inject(nb, na, M::Ping(1));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while net.metrics_snapshot().decode_errors < 1 {
-            assert!(Instant::now() < deadline, "corruption never counted");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        net.shutdown();
+        suite::chaos_dup_delivers_twice::<T>();
+        suite::chaos_corrupt_counts_decode_error_and_link_survives::<T>();
     }
 
     #[test]
     fn timers_fire_in_real_time() {
-        struct Beeper {
-            beeps: Arc<AtomicU32>,
-        }
-        impl Actor<M> for Beeper {
-            fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-                ctx.set_timer(SimDuration::from_millis(5), 7);
-                ctx.set_timer(SimDuration::from_millis(10), 7);
-            }
-            fn on_message(&mut self, _: &mut Context<'_, M>, _: NodeId, _: M) {}
-            fn on_timer(&mut self, _: &mut Context<'_, M>, token: u64) {
-                assert_eq!(token, 7);
-                self.beeps.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let beeps = Arc::new(AtomicU32::new(0));
-        let mut b = ThreadNetBuilder::new();
-        b.add_node(Beeper {
-            beeps: beeps.clone(),
-        });
-        let net = b.start();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while beeps.load(Ordering::SeqCst) < 2 {
-            assert!(Instant::now() < deadline, "timers did not fire");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        net.shutdown();
-        assert_eq!(beeps.load(Ordering::SeqCst), 2);
+        suite::timers_fire_in_real_time::<T>();
     }
 
     #[test]
     fn shutdown_returns_actors_in_order() {
-        let mut b = ThreadNetBuilder::new();
-        let h1 = Arc::new(AtomicU32::new(0));
-        let h2 = Arc::new(AtomicU32::new(0));
-        b.add_node(Echo { bounces: h1 });
-        b.add_node(Echo { bounces: h2 });
-        let net = b.start();
-        let actors = net.shutdown();
-        assert_eq!(actors.len(), 2);
-        assert!(actors[0].downcast_ref::<Echo>().is_some());
+        suite::shutdown_returns_actors_in_order::<T>();
     }
 
     #[test]
     fn kill_drops_messages_and_restart_revives() {
-        struct Marker {
-            seen: Arc<AtomicU32>,
-            restarts: Arc<AtomicU32>,
-        }
-        impl Actor<M> for Marker {
-            fn on_message(&mut self, _: &mut Context<'_, M>, _: NodeId, _: M) {
-                self.seen.fetch_add(1, Ordering::SeqCst);
-            }
-            fn on_restart(&mut self, _: &mut Context<'_, M>) {
-                self.restarts.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let seen = Arc::new(AtomicU32::new(0));
-        let restarts = Arc::new(AtomicU32::new(0));
-        let mut b = ThreadNetBuilder::new();
-        let src = b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
-        let dst = b.add_node(Marker {
-            seen: seen.clone(),
-            restarts: restarts.clone(),
-        });
-        let net = b.start();
-
-        net.inject(src, dst, M::Ping(0));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while seen.load(Ordering::SeqCst) < 1 {
-            assert!(Instant::now() < deadline, "first ping not seen");
-            std::thread::yield_now();
-        }
-
-        net.kill_node(dst);
-        // Give the crash marker time to land, then send into the void.
-        std::thread::sleep(Duration::from_millis(20));
-        net.inject(src, dst, M::Ping(0));
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(seen.load(Ordering::SeqCst), 1, "down node heard a message");
-
-        net.restart_node(dst);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while restarts.load(Ordering::SeqCst) < 1 {
-            assert!(Instant::now() < deadline, "on_restart did not fire");
-            std::thread::yield_now();
-        }
-        net.inject(src, dst, M::Ping(0));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while seen.load(Ordering::SeqCst) < 2 {
-            assert!(Instant::now() < deadline, "revived node deaf");
-            std::thread::yield_now();
-        }
-        net.shutdown();
+        suite::kill_drops_messages_and_restart_revives::<T>();
     }
 
     #[test]
     fn blocked_pair_drops_sender_side() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = ThreadNetBuilder::new();
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start();
-        net.block_link(na, nb);
-        // The injected message reaches nb (inject bypasses the transport),
-        // but nb's reply crosses the blocked pair and is dropped.
-        net.inject(na, nb, M::Ping(5));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while net.metrics_snapshot().partitioned < 1 {
-            assert!(Instant::now() < deadline, "no partitioned drop recorded");
-            std::thread::yield_now();
-        }
-        assert_eq!(a_hits.load(Ordering::SeqCst), 0);
-        net.unblock_link(na, nb);
-        net.inject(nb, na, M::Ping(0));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while a_hits.load(Ordering::SeqCst) < 1 {
-            assert!(Instant::now() < deadline, "unblocked pair still dropping");
-            std::thread::yield_now();
-        }
-        net.shutdown();
+        suite::blocked_pair_drops_sender_side::<T>();
     }
 }
