@@ -137,7 +137,7 @@ fn main() {
     }
 
     println!("=== E14 / substrate matrix ===\n");
-    let rows = substrate_matrix::run_matrix(&substrate_matrix::MatrixTuning::default());
+    let rows = substrate_matrix::run_matrix(&substrate_matrix::MatrixTuning::default(), None);
     let t = substrate_matrix::table(&rows);
     t.print();
     let _ = t.save_csv();

@@ -33,40 +33,9 @@
 
 use std::process::ExitCode;
 
-use whisper_bench::experiments::substrate_matrix::{self, MatrixTuning, SubstrateOutcome};
+use whisper_bench::experiments::substrate_matrix::{self, MatrixTuning};
 use whisper_bench::BenchSummary;
-use whisper_simnet::{FaultPlan, SimDuration, SimTime};
-
-/// Replays a custom plan on all three substrates; the horizon is the last
-/// scheduled action plus the tuning's settle tail.
-fn run_custom_plan(tuning: &MatrixTuning, plan: &FaultPlan) -> Vec<SubstrateOutcome> {
-    let last = plan
-        .actions()
-        .iter()
-        .map(|&(at, _)| at.since(SimTime::ZERO))
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    let horizon = SimDuration::from_micros(last.as_micros() + tuning.settle.as_micros());
-    let dep = substrate_matrix::deployment(tuning);
-    let mut rows = Vec::with_capacity(3);
-
-    let mut sim = dep
-        .boot_sim(11)
-        .expect("the matrix scenario is well-formed");
-    rows.push(substrate_matrix::run_plan_on(&mut sim, plan, horizon));
-
-    let mut threads = dep
-        .boot_threadnet()
-        .expect("the matrix scenario is well-formed");
-    rows.push(substrate_matrix::run_plan_on(&mut threads, plan, horizon));
-    threads.net.shutdown();
-
-    let mut tcp = dep.boot_tcp().expect("loopback sockets");
-    rows.push(substrate_matrix::run_plan_on(&mut tcp, plan, horizon));
-    tcp.net.shutdown();
-
-    rows
-}
+use whisper_simnet::FaultPlan;
 
 fn main() -> ExitCode {
     let mut plan: Option<FaultPlan> = None;
@@ -107,21 +76,16 @@ fn main() -> ExitCode {
     }
 
     let tuning = MatrixTuning::default();
-    let rows = match &plan {
-        Some(p) => {
-            println!("Fault matrix: {} b-peers, custom plan\n", tuning.peers);
-            run_custom_plan(&tuning, p)
-        }
-        None => {
-            println!(
-                "Fault matrix: {} b-peers, kill coordinator at {:.1} s, restart {:.1} s later\n",
-                tuning.peers,
-                tuning.warmup.as_secs_f64(),
-                tuning.outage.as_secs_f64()
-            );
-            substrate_matrix::run_matrix(&tuning)
-        }
-    };
+    match &plan {
+        Some(_) => println!("Fault matrix: {} b-peers, custom plan\n", tuning.peers),
+        None => println!(
+            "Fault matrix: {} b-peers, kill coordinator at {:.1} s, restart {:.1} s later\n",
+            tuning.peers,
+            tuning.warmup.as_secs_f64(),
+            tuning.outage.as_secs_f64()
+        ),
+    }
+    let rows = substrate_matrix::run_matrix(&tuning, plan.as_ref());
     let t = substrate_matrix::table(&rows);
     t.print();
     if let Ok(p) = t.save_csv() {
@@ -136,7 +100,8 @@ fn main() -> ExitCode {
     }
 
     let mut ok = rows.len() == 3;
-    let detection_bound = tuning.failure_timeout + tuning.heartbeat_period.saturating_mul(2);
+    let detection_bound =
+        tuning.cluster.failure_timeout + tuning.cluster.heartbeat_period.saturating_mul(2);
     for r in &rows {
         // A custom plan may schedule any number of outages; the built-in
         // schedule must book exactly one with a measured repair.

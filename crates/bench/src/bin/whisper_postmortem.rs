@@ -67,26 +67,7 @@ fn run(substrate: &str, t: &MatrixTuning) -> Vec<PostmortemOutcome> {
     if substrate == "all" {
         return postmortem::run_matrix(t);
     }
-    let dep = postmortem::scenario(t);
-    let row = match substrate {
-        "sim" => {
-            let mut booted = dep.boot_sim(11).expect("well-formed scenario");
-            postmortem::run_on(&mut booted, t)
-        }
-        "threadnet" => {
-            let mut booted = dep.boot_threadnet().expect("well-formed scenario");
-            let row = postmortem::run_on(&mut booted, t);
-            booted.net.shutdown();
-            row
-        }
-        _ => {
-            let mut booted = dep.boot_tcp().expect("loopback sockets");
-            let row = postmortem::run_on(&mut booted, t);
-            booted.net.shutdown();
-            row
-        }
-    };
-    vec![row]
+    vec![postmortem::run_leg(substrate, t)]
 }
 
 fn main() -> ExitCode {

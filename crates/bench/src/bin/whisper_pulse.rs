@@ -28,7 +28,8 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use whisper_bench::{exporter, ClusterTuning, PulseTuning, TcpCluster};
+use whisper_bench::cluster::{self, ledger_downtime};
+use whisper_bench::{exporter, ClusterTuning, PulseTuning};
 use whisper_obs::{SloConfig, SloEngine};
 use whisper_simnet::{SimDuration, SimTime};
 
@@ -120,18 +121,6 @@ fn smoke_check(body: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Total ledger downtime across every tracked service at `now`.
-fn ledger_downtime(cluster: &TcpCluster, now: SimTime) -> SimDuration {
-    let ledger = cluster.ledger();
-    let mut total = SimDuration::ZERO;
-    for &s in &ledger.services() {
-        if let Some(r) = ledger.service_report(s, now) {
-            total = total + r.downtime;
-        }
-    }
-    total
-}
-
 fn main() -> ExitCode {
     let opts = parse_args();
 
@@ -139,48 +128,37 @@ fn main() -> ExitCode {
         "booting {} b-peers + transcript replica + proxy + pulse collector...",
         opts.peers
     );
-    let cluster =
-        match TcpCluster::start_pulse(opts.peers, ClusterTuning::default(), PulseTuning::default())
-        {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("cluster failed to boot: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-
-    // Boot election before traffic.
-    let settle = Instant::now() + Duration::from_secs(15);
-    loop {
-        let snaps = cluster.poll_snapshots(cluster.bpeer_nodes(), Duration::from_secs(2));
-        if snaps.len() == opts.peers && TcpCluster::agreed_coordinator(&snaps).is_some() {
-            break;
-        }
-        if Instant::now() >= settle {
-            eprintln!("cluster failed to elect a coordinator");
-            cluster.shutdown();
+    let wiring =
+        cluster::pulse_scenario(opts.peers, ClusterTuning::default(), PulseTuning::default());
+    let mut rig = match wiring.boot_tcp() {
+        Ok(rig) => rig,
+        Err(e) => {
+            eprintln!("cluster failed to boot: {e}");
             return ExitCode::FAILURE;
         }
-        std::thread::sleep(Duration::from_millis(20));
+    };
+    let ledger = rig.ledger.clone().expect("the cluster wires a ledger");
+    let store = rig.pulse_store.clone().expect("the pulse plane is wired");
+
+    // Boot election before traffic.
+    if !rig.await_election(0, SimDuration::from_secs(15)) {
+        eprintln!("cluster failed to elect a coordinator");
+        rig.net.shutdown();
+        return ExitCode::FAILURE;
     }
 
-    let boot = Instant::now();
     let slo: exporter::SharedSlo = Arc::new(Mutex::new(SloEngine::new(SloConfig::default())));
     slo.lock()
         .unwrap_or_else(|e| e.into_inner())
         .tick(SimTime::ZERO, SimDuration::ZERO, None);
 
     let bind = format!("127.0.0.1:{}", opts.port);
-    let server = match exporter::serve_with_slo(
-        cluster.pulse_store().clone(),
-        Some(slo.clone()),
-        &bind,
-        usize::MAX,
-    ) {
+    let server = match exporter::serve_with_slo(store.clone(), Some(slo.clone()), &bind, usize::MAX)
+    {
         Ok(s) => s,
         Err(e) => {
             eprintln!("failed to bind exposition endpoint on {bind}: {e}");
-            cluster.shutdown();
+            rig.net.shutdown();
             return ExitCode::FAILURE;
         }
     };
@@ -202,20 +180,20 @@ fn main() -> ExitCode {
                 break;
             }
         }
-        if sent % opts.slow_every == opts.slow_every - 1 {
-            cluster.submit_transcript(&format!("u100{}", sent % 8));
+        let student = format!("u100{}", sent % 8);
+        let id = rig.submit(if sent % opts.slow_every == opts.slow_every - 1 {
+            cluster::transcript(&student)
         } else {
-            cluster.submit_student_info(&format!("u100{}", sent % 8));
-        }
+            cluster::student_info(&student)
+        });
         sent += 1;
-        answered = cluster.await_responses(sent, Duration::from_secs(10));
-        if answered < sent {
+        if rig.await_response(id, SimDuration::from_secs(10)).is_none() {
             eprintln!("request {sent} unanswered after 10s");
             break;
         }
+        answered += 1;
         if last_status.elapsed() >= Duration::from_secs(1) {
             last_status = Instant::now();
-            let store = cluster.pulse_store();
             let guard = store.lock().unwrap_or_else(|e| e.into_inner());
             let agg = guard.aggregate(usize::MAX);
             let p99_us = agg.quantile_us("proxy.rtt", 99.0);
@@ -232,11 +210,11 @@ fn main() -> ExitCode {
                 guard.outliers_ingested(),
             );
             drop(guard);
-            let now = SimTime::ZERO + SimDuration::from_micros(boot.elapsed().as_micros() as u64);
+            let now = rig.net.now();
             let mut slo_guard = slo.lock().unwrap_or_else(|e| e.into_inner());
             for ev in slo_guard.tick(
                 now,
-                ledger_downtime(&cluster, now),
+                ledger_downtime(&ledger, now),
                 p99_us.map(SimDuration::from_micros),
             ) {
                 println!("slo · {ev:?}");
@@ -260,7 +238,7 @@ fn main() -> ExitCode {
     };
 
     server.stop();
-    cluster.shutdown();
+    rig.net.shutdown();
     match verdict {
         Ok(()) if answered == sent && sent > 0 => ExitCode::SUCCESS,
         Ok(()) => {

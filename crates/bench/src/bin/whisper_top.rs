@@ -42,10 +42,14 @@
 //! tcpnet request-cycle bench to a tighter gate than the noisy rest.
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use whisper_bench::{BenchSummary, ClusterTuning, PulseTuning, Table, TcpCluster};
-use whisper_obs::{MetricsDelta, NodeSnapshot, OutlierTrace, PulseSpan, SloConfig, SloEngine};
+use whisper::{SharedPulseStore, Topology};
+use whisper_bench::cluster::{self, ledger_downtime};
+use whisper_bench::{BenchSummary, ClusterTuning, PulseTuning, Table};
+use whisper_obs::{
+    AvailabilityLedger, MetricsDelta, NodeSnapshot, OutlierTrace, PulseSpan, SloConfig, SloEngine,
+};
 use whisper_simnet::{NodeId, SimDuration, SimTime};
 
 struct Options {
@@ -286,7 +290,7 @@ fn fmt_ms(us: u64) -> String {
 }
 
 /// One rendered frame: the per-node table from a fresh snapshot poll.
-fn frame_table(cluster: &TcpCluster, snaps: &[(NodeId, NodeSnapshot)]) -> Table {
+fn frame_table(topology: &Topology, snaps: &[(NodeId, NodeSnapshot)]) -> Table {
     let mut t = Table::new(
         "whisper_top",
         &[
@@ -322,7 +326,7 @@ fn frame_table(cluster: &TcpCluster, snaps: &[(NodeId, NodeSnapshot)]) -> Table 
         t.row(&[
             node.index().to_string(),
             snap.role.label().to_string(),
-            cluster.peer_of(*node).to_string(),
+            topology.peer_of(*node).value().to_string(),
             coord,
             phase,
             worst_age.map(fmt_ms).unwrap_or_else(|| "-".into()),
@@ -351,19 +355,6 @@ enum Health {
     Down,
 }
 
-/// Cumulative downtime across every ledgered service — the availability
-/// signal the SLO engine burns against.
-fn ledger_downtime(cluster: &TcpCluster, now: SimTime) -> SimDuration {
-    let ledger = cluster.ledger();
-    let mut total = SimDuration::ZERO;
-    for &s in &ledger.services() {
-        if let Some(r) = ledger.service_report(s, now) {
-            total = total + r.downtime;
-        }
-    }
-    total
-}
-
 /// The `ALERTS` pane: per-objective burn rates, budget left and alert
 /// state from the SLO engine.
 fn print_alerts(slo: &SloEngine) {
@@ -388,8 +379,7 @@ fn print_alerts(slo: &SloEngine) {
 
 /// `true` when the availability ledger currently carries an open outage
 /// for any service.
-fn ledger_outage(cluster: &TcpCluster, now: SimTime) -> bool {
-    let ledger = cluster.ledger();
+fn ledger_outage(ledger: &AvailabilityLedger, now: SimTime) -> bool {
     ledger
         .services()
         .iter()
@@ -397,8 +387,7 @@ fn ledger_outage(cluster: &TcpCluster, now: SimTime) -> bool {
 }
 
 /// Prints the availability ledger's per-service lines.
-fn print_ledger(cluster: &TcpCluster, now: SimTime) {
-    let ledger = cluster.ledger();
+fn print_ledger(ledger: &AvailabilityLedger, now: SimTime) {
     for service in ledger.services() {
         if let Some(r) = ledger.service_report(service, now) {
             println!(
@@ -468,11 +457,9 @@ fn print_flame(trace: &OutlierTrace) {
 
 /// The `--live` telemetry panel: request-rate and p99 sparklines from the
 /// proxy's windowed time-series, plus the latest tail capture.
-fn print_pulse(cluster: &TcpCluster) {
-    let store = cluster.pulse_store();
+fn print_pulse(store: &SharedPulseStore, proxy: NodeId) {
     let guard = store.lock().unwrap_or_else(|e| e.into_inner());
-    let proxy = cluster.proxy_node().index() as u64;
-    if let Some(series) = guard.series(proxy) {
+    if let Some(series) = guard.series(proxy.index() as u64) {
         let frames: Vec<&MetricsDelta> = series.frames().collect();
         let recent = &frames[frames.len().saturating_sub(SPARK_WIDTH)..];
         let rates: Vec<f64> = recent
@@ -524,39 +511,29 @@ fn main() -> ExitCode {
             ""
         }
     );
-    let boot = Instant::now();
-    let booted = if opts.live {
-        TcpCluster::start_pulse(opts.peers, ClusterTuning::default(), PulseTuning::default())
+    let wiring = if opts.live {
+        cluster::pulse_scenario(opts.peers, ClusterTuning::default(), PulseTuning::default())
     } else {
-        TcpCluster::start(opts.peers, ClusterTuning::default())
+        cluster::cluster_scenario(opts.peers, ClusterTuning::default())
     };
-    let cluster = match booted {
-        Ok(c) => c,
+    let mut rig = match wiring.boot_tcp() {
+        Ok(rig) => rig,
         Err(e) => {
             eprintln!("cluster failed to boot: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // b-peers + proxy, plus the transcript replica in live mode.
-    let expected = opts.peers + 1 + usize::from(opts.live);
-    let mut targets = cluster.bpeer_nodes().to_vec();
-    if opts.live {
-        targets.push(cluster.transcript_node());
-    }
-    targets.push(cluster.proxy_node());
+    let ledger = rig.ledger.clone().expect("the cluster wires a ledger");
+    // Coordinator agreement is a fast-group question (the transcript
+    // replica of live mode coordinates its own single-member group), so
+    // each frame polls the fast group and the rest separately.
+    let bpeers = rig.topology.group_nodes[0].clone();
+    let mut others: Vec<NodeId> = rig.topology.group_nodes[1..].concat();
+    others.push(rig.topology.proxy);
+    let expected = bpeers.len() + others.len();
 
     // Give the boot election a chance before the first frame.
-    let settle = Instant::now() + Duration::from_secs(15);
-    loop {
-        let snaps = cluster.poll_snapshots(cluster.bpeer_nodes(), Duration::from_secs(2));
-        if snaps.len() == opts.peers && TcpCluster::agreed_coordinator(&snaps).is_some() {
-            break;
-        }
-        if Instant::now() >= settle {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    rig.await_election(0, SimDuration::from_secs(15));
 
     let mut frames_left = if opts.once { Some(1) } else { opts.frames };
     let mut sent = 0usize;
@@ -568,55 +545,48 @@ fn main() -> ExitCode {
         // Live mode drives a trickle of real traffic so the telemetry
         // panel moves: one request per refresh, a slow transcript every
         // eighth so the tail sampler has something to capture.
-        let mut answered = sent;
+        let mut answered = true;
         if opts.live {
-            if sent % 8 == 7 {
-                cluster.submit_transcript("u1004");
+            let payload = if sent % 8 == 7 {
+                cluster::transcript("u1004")
             } else {
-                cluster.submit_student_info(&format!("u100{}", sent % 8));
-            }
+                cluster::student_info(&format!("u100{}", sent % 8))
+            };
             sent += 1;
-            answered = cluster.await_responses(sent, Duration::from_secs(5));
+            let id = rig.submit(payload);
+            answered = rig.await_response(id, SimDuration::from_secs(5)).is_some();
         }
-        let snaps = cluster.poll_snapshots(&targets, Duration::from_secs(5));
-        // Coordinator agreement is a fast-group question: the transcript
-        // replica coordinates its own single-member group.
-        let fast: Vec<_> = snaps
-            .iter()
-            .filter(|(n, _)| cluster.bpeer_nodes().contains(n))
-            .cloned()
-            .collect();
-        let coord = TcpCluster::agreed_coordinator(&fast);
-        let uptime = boot.elapsed();
+        let fast = rig.poll(&bpeers, SimDuration::from_secs(5));
+        let coord = fast.coordinator();
+        let mut snaps = fast.to_vec();
+        snaps.extend_from_slice(&rig.poll(&others, SimDuration::from_secs(5)));
+        let now = rig.net.now();
         println!(
             "whisper-top · uptime {:.1}s · {}/{} nodes answering · coordinator: {}",
-            uptime.as_secs_f64(),
+            now.as_secs_f64(),
             snaps.len(),
             expected,
             coord
                 .map(|c| format!("peer {c}"))
                 .unwrap_or_else(|| "NONE".into()),
         );
-        frame_table(&cluster, &snaps).print();
-        let now = SimTime::ZERO + SimDuration::from_micros(boot.elapsed().as_micros() as u64);
-        print_ledger(&cluster, now);
-        if opts.live {
-            print_pulse(&cluster);
-        }
-        let p99 = opts.live.then(|| {
-            let store = cluster.pulse_store();
+        frame_table(&rig.topology, &snaps).print();
+        print_ledger(&ledger, now);
+        let mut p99 = None;
+        if let Some(store) = &rig.pulse_store {
+            print_pulse(store, rig.topology.proxy);
             let guard = store.lock().unwrap_or_else(|e| e.into_inner());
-            guard
+            p99 = guard
                 .aggregate(usize::MAX)
                 .quantile_us("proxy.rtt", 99.0)
-                .map(SimDuration::from_micros)
-        });
-        slo.tick(now, ledger_downtime(&cluster, now), p99.flatten());
+                .map(SimDuration::from_micros);
+        }
+        slo.tick(now, ledger_downtime(&ledger, now), p99);
         print_alerts(&slo);
-        let frame_health = if snaps.len() != expected || answered != sent {
+        let frame_health = if snaps.len() != expected || !answered {
             Health::Down
         } else if coord.is_none()
-            || ledger_outage(&cluster, now)
+            || ledger_outage(&ledger, now)
             || slo.any_firing()
             || slo.any_budget_exhausted()
         {
@@ -634,7 +604,7 @@ fn main() -> ExitCode {
         println!();
         std::thread::sleep(opts.interval);
     };
-    cluster.shutdown();
+    rig.net.shutdown();
 
     match health {
         Health::Healthy => ExitCode::SUCCESS,

@@ -30,22 +30,15 @@
 //! see into.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
+use crate::cluster::{marked_envelope, marker, student_wiring, ClusterTuning};
 use crate::Table;
-use whisper::{
-    BPeerConfig, EchoBackend, GroupSpec, ProxyConfig, ScenarioWiring, ServiceBackend, Topology,
-    WhisperMsg,
-};
-use whisper_election::BullyConfig;
+use whisper::{Booted, EchoBackend, ProxyConfig, ScenarioWiring, WhisperMsg};
 use whisper_obs::{AvailabilityLedger, FlightEventKind, Recorder};
 use whisper_simnet::tcpnet::TcpNetBuilder;
 use whisper_simnet::threadnet::ThreadNetBuilder;
-use whisper_simnet::{
-    Actor, Context, DegradeSpec, FaultAction, FaultPlan, NodeId, SimDuration, Spawner, Substrate,
-};
+use whisper_simnet::{DegradeSpec, FaultAction, FaultPlan, SimDuration, Substrate};
 use whisper_soap::Envelope;
-use whisper_xml::Element;
 
 /// Soak shape: request stream, gray-failure mix, and acceptance bars.
 #[derive(Debug, Clone)]
@@ -162,73 +155,15 @@ pub struct RaceOutcome {
     pub fail_slow_recovery: SimDuration,
 }
 
-/// Collected SOAP responses: id → (copies seen, last envelope).
-type Responses = Arc<Mutex<HashMap<u64, (u32, String)>>>;
-
-/// Per-poll coordinator claims from the b-peers, keyed by scope request.
-type Coordinators = Arc<Mutex<HashMap<u64, Vec<Option<u64>>>>>;
-
-/// The soak's edge: counts every copy of every answer, so duplicate
-/// suppression is checked where it matters — at the client boundary.
-struct ChaosDriver {
-    responses: Responses,
-    coordinators: Coordinators,
-}
-
-impl Actor<WhisperMsg> for ChaosDriver {
-    fn on_message(&mut self, _ctx: &mut Context<'_, WhisperMsg>, _from: NodeId, msg: WhisperMsg) {
-        match msg {
-            WhisperMsg::SoapResponse {
-                request_id,
-                envelope,
-            } => {
-                let mut map = self.responses.lock().expect("driver store poisoned");
-                let entry = map.entry(request_id).or_insert((0, String::new()));
-                entry.0 += 1;
-                entry.1 = envelope;
-            }
-            WhisperMsg::ScopeResponse {
-                request_id,
-                snapshot,
-            } => {
-                self.coordinators
-                    .lock()
-                    .expect("driver store poisoned")
-                    .entry(request_id)
-                    .or_default()
-                    .push(snapshot.election.as_ref().and_then(|e| e.coordinator));
-            }
-            _ => {}
-        }
-    }
-}
-
 /// The deployment under chaos: echo replicas, fast failure detection, the
 /// fail-slow detector armed, ledger + recorder + flight plane wired.
-fn soak_wiring(t: &ChaosTuning) -> (ScenarioWiring, Recorder, AvailabilityLedger) {
-    let service = whisper_wsdl::samples::student_management();
-    let op = service
-        .operation("StudentInformation")
-        .expect("sample operation")
-        .clone();
-    let backends: Vec<Box<dyn ServiceBackend>> =
-        (0..t.peers).map(|_| Box::new(EchoBackend) as _).collect();
-    let mut wiring = ScenarioWiring::bare(
-        service,
-        whisper_ontology::samples::university_ontology(),
-        vec![GroupSpec::from_operation("StudentInfoGroup", &op, backends)],
-    );
-    wiring.bpeer = BPeerConfig {
-        heartbeat_period: SimDuration::from_millis(50),
+fn soak_wiring(t: &ChaosTuning) -> ScenarioWiring {
+    let tuning = ClusterTuning {
         // Above the stall: a 200 ms outbound freeze must stay gray.
         failure_timeout: SimDuration::from_millis(400),
-        bully: BullyConfig {
-            answer_timeout: SimDuration::from_millis(200),
-            coordinator_timeout: SimDuration::from_millis(400),
-            cooldown: SimDuration::from_millis(200),
-        },
-        ..BPeerConfig::default()
+        ..ClusterTuning::default()
     };
+    let mut wiring = student_wiring(t.peers, || Box::new(EchoBackend), tuning);
     wiring.proxy = ProxyConfig {
         request_timeout: SimDuration::from_millis(500),
         fail_slow_after: Some(t.fail_slow_after),
@@ -236,185 +171,98 @@ fn soak_wiring(t: &ChaosTuning) -> (ScenarioWiring, Recorder, AvailabilityLedger
         fail_slow_cooldown: SimDuration::from_secs(60),
         ..ProxyConfig::default()
     };
-    let recorder = Recorder::new();
-    let ledger = AvailabilityLedger::default();
-    wiring.recorder = Some(recorder.clone());
-    wiring.ledger = Some(ledger.clone());
+    wiring.recorder = Some(Recorder::new());
+    wiring.ledger = Some(AvailabilityLedger::default());
     wiring.flight = Some(whisper_obs::flight::DEFAULT_RING_BYTES);
-    (wiring, recorder, ledger)
-}
-
-/// Everything a soak or race leg needs besides the substrate itself: the
-/// booted topology, the driver node and its shared stores, and the
-/// observability planes the audit reads.
-struct SoakRig {
-    topo: Topology,
-    driver: NodeId,
-    responses: Responses,
-    coordinators: Coordinators,
-    recorder: Recorder,
-    ledger: AvailabilityLedger,
-}
-
-/// Wires the scenario plus the chaos driver onto any spawner.
-fn wire_with_driver<S: Spawner<WhisperMsg>>(spawner: &mut S, t: &ChaosTuning) -> SoakRig {
-    let (wiring, recorder, ledger) = soak_wiring(t);
-    let topo = wiring
-        .wire(spawner)
-        .expect("the chaos scenario is well-formed");
-    let responses: Responses = Arc::new(Mutex::new(HashMap::new()));
-    let coordinators: Coordinators = Arc::new(Mutex::new(HashMap::new()));
-    let driver = spawner.add_boxed(Box::new(ChaosDriver {
-        responses: Arc::clone(&responses),
-        coordinators: Arc::clone(&coordinators),
-    }));
-    SoakRig {
-        topo,
-        driver,
-        responses,
-        coordinators,
-        recorder,
-        ledger,
-    }
-}
-
-/// One uniquely marked request envelope.
-fn marked_envelope(id: u64) -> String {
-    let mut payload = Element::new("StudentInformation");
-    payload.push_child(Element::with_text("StudentID", "u1000"));
-    payload.push_child(Element::with_text("Marker", format!("req-{id:05}")));
-    Envelope::request(payload).to_xml_string()
+    wiring
 }
 
 /// Waits (in the substrate's own time) until every b-peer names the same
-/// coordinator. Polling via [`Substrate::advance`] keeps this loop
-/// identical on virtual time and wall clock.
-fn settle<N: Substrate<WhisperMsg>>(net: &mut N, rig: &SoakRig) {
-    let peers = rig.topo.group_nodes[0].len();
-    let mut scope_request = 10_000_000u64; // clear of the soak ids
-    for _ in 0..600 {
-        scope_request += 1;
-        for &b in &rig.topo.group_nodes[0] {
-            net.inject(
-                rig.driver,
-                b,
-                WhisperMsg::ScopeRequest {
-                    request_id: scope_request,
-                },
-            );
-        }
-        net.advance(SimDuration::from_millis(40));
-        let polls = rig.coordinators.lock().expect("driver store poisoned");
-        if let Some(claims) = polls.get(&scope_request) {
-            if claims.len() == peers && claims.iter().all(|&c| c.is_some() && c == claims[0]) {
-                return;
-            }
-        }
-    }
-    panic!("boot election did not settle on {}", net.name());
+/// coordinator.
+fn settle<N: Substrate<WhisperMsg>>(rig: &mut Booted<N>) {
+    assert!(
+        rig.await_election(0, SimDuration::from_secs(30)),
+        "boot election did not settle on {}",
+        rig.net.name()
+    );
 }
 
 /// Arms the built-in gray schedule action by action as the stream
 /// progresses, or replays a custom plan, then drains and audits the books.
 /// Generic over [`Substrate`], so the sim, threadnet and tcp legs run
 /// literally the same code.
-fn run_soak<N: Substrate<WhisperMsg>>(net: &mut N, rig: &SoakRig, t: &ChaosTuning) -> SoakOutcome {
-    settle(net, rig);
-    let topo = &rig.topo;
-    let driver = rig.driver;
-    let bpeers = topo.group_nodes[0].clone();
+fn run_soak<N: Substrate<WhisperMsg>>(rig: &mut Booted<N>, t: &ChaosTuning) -> SoakOutcome {
+    settle(rig);
+    let proxy = rig.topology.proxy;
+    let bpeers = rig.topology.group_nodes[0].clone();
     let coordinator = *bpeers.last().expect("at least one b-peer");
+    // Every interior link: proxy↔b-peer and b-peer↔b-peer.
+    let mut interior: Vec<_> = bpeers.iter().map(|&b| (proxy, b)).collect();
+    for (i, &a) in bpeers.iter().enumerate() {
+        interior.extend(bpeers[i + 1..].iter().map(|&b| (a, b)));
+    }
 
     if let Some(plan) = &t.plan {
-        net.execute_plan(plan);
+        rig.net.execute_plan(plan);
     }
-    for id in 1..=t.requests {
+    let mut ids = Vec::with_capacity(t.requests as usize);
+    for n in 1..=t.requests {
         if t.plan.is_none() {
-            if id == t.warmup_requests + 1 {
-                // Arm the gray plane on every interior link.
-                for &b in &bpeers {
-                    net.apply_action(FaultAction::Degrade(topo.proxy, b, t.degrade));
-                }
-                for (i, &a) in bpeers.iter().enumerate() {
-                    for &b in &bpeers[i + 1..] {
-                        net.apply_action(FaultAction::Degrade(a, b, t.degrade));
-                    }
+            if n == t.warmup_requests + 1 {
+                for &(a, b) in &interior {
+                    rig.net.apply_action(FaultAction::Degrade(a, b, t.degrade));
                 }
             }
-            if id == t.requests / 3 {
-                net.apply_action(FaultAction::Slow(coordinator, t.slow_factor));
+            if n == t.requests / 3 {
+                rig.net
+                    .apply_action(FaultAction::Slow(coordinator, t.slow_factor));
             }
-            if id == t.requests / 2 {
-                net.apply_action(FaultAction::Stall(coordinator, t.stall));
+            if n == t.requests / 2 {
+                rig.net
+                    .apply_action(FaultAction::Stall(coordinator, t.stall));
             }
         }
-        net.inject(
-            driver,
-            topo.proxy,
-            WhisperMsg::SoapRequest {
-                request_id: id,
-                envelope: marked_envelope(id),
-            },
-        );
-        net.advance(t.gap);
+        ids.push((n, rig.submit_envelope(marked_envelope(n))));
+        rig.net.advance(t.gap);
     }
 
     // Heal the network, then drain the retried tail.
     if t.plan.is_none() {
-        for &b in &bpeers {
-            net.apply_action(FaultAction::Restore(topo.proxy, b));
+        for &(a, b) in &interior {
+            rig.net.apply_action(FaultAction::Restore(a, b));
         }
-        for (i, &a) in bpeers.iter().enumerate() {
-            for &b in &bpeers[i + 1..] {
-                net.apply_action(FaultAction::Restore(a, b));
-            }
-        }
-        net.apply_action(FaultAction::Slow(coordinator, 100));
+        rig.net.apply_action(FaultAction::Slow(coordinator, 100));
     }
-    let mut waited = SimDuration::ZERO;
-    let step = SimDuration::from_millis(20);
-    while waited < t.drain {
-        let got = rig.responses.lock().expect("driver store poisoned").len();
-        if got as u64 >= t.requests {
-            break;
-        }
-        net.advance(step);
-        waited = SimDuration::from_micros(waited.as_micros() + step.as_micros());
-    }
+    rig.await_answered(t.requests, t.drain);
     // One more beat so straggling duplicate copies (if any) land before
     // the books are audited.
-    net.advance(SimDuration::from_millis(100));
+    rig.net.advance(SimDuration::from_millis(100));
 
-    let answered = rig.responses.lock().expect("driver store poisoned").clone();
+    let substrate = rig.net.name();
     let mut lost = 0u64;
     let mut duplicated = 0u64;
     let mut faults = 0u64;
-    for id in 1..=t.requests {
-        match answered.get(&id) {
-            None => lost += 1,
-            Some((copies, envelope)) => {
-                if *copies > 1 {
-                    duplicated += 1;
-                }
-                let parsed = Envelope::parse(envelope).unwrap_or_else(|e| {
-                    panic!("{}: request {id}: bad envelope: {e:?}", net.name())
-                });
-                if parsed.is_fault() {
-                    faults += 1;
-                } else {
-                    let marker = format!("req-{id:05}");
-                    assert!(
-                        envelope.contains(&marker),
-                        "{}: response for {id} does not carry {marker}",
-                        net.name()
-                    );
-                }
-            }
+    for (n, id) in ids {
+        let Some(answer) = rig.response(id) else {
+            lost += 1;
+            continue;
+        };
+        duplicated += u64::from(answer.copies > 1);
+        let parsed = Envelope::parse(&answer.envelope)
+            .unwrap_or_else(|e| panic!("{substrate}: request {n}: bad envelope: {e:?}"));
+        if parsed.is_fault() {
+            faults += 1;
+        } else {
+            assert!(
+                answer.envelope.contains(&marker(n)),
+                "{substrate}: response for {n} does not carry its marker"
+            );
         }
     }
     let goodput = (t.requests - lost - faults) as f64 / t.requests as f64;
 
-    let gray_faults_recorded = topo
+    let gray_faults_recorded = rig
+        .topology
         .flight
         .as_ref()
         .map(|plane| {
@@ -435,23 +283,24 @@ fn run_soak<N: Substrate<WhisperMsg>>(net: &mut N, rig: &SoakRig, t: &ChaosTunin
                 .count() as u64
         })
         .unwrap_or(0);
-    let ledger_up = rig
-        .ledger
-        .service_report(topo.group_ids[0].value(), net.now())
+    let ledger = rig.ledger.as_ref().expect("the soak wires a ledger");
+    let ledger_up = ledger
+        .service_report(rig.topology.group_ids[0].value(), rig.net.now())
         .map(|r| r.up)
         .unwrap_or(false);
+    let recorder = rig.recorder.as_ref().expect("the soak wires a recorder");
 
     SoakOutcome {
-        substrate: net.name(),
+        substrate,
         requests: t.requests,
-        answered: answered.len() as u64,
+        answered: t.requests - lost,
         lost,
         duplicated,
         faults,
         goodput,
-        fail_slow_rebinds: rig.recorder.counter("proxy.fail_slow_rebinds"),
-        surplus_replies: rig.recorder.counter("proxy.duplicate_responses"),
-        decode_errors: net.metrics_snapshot().decode_errors,
+        fail_slow_rebinds: recorder.counter("proxy.fail_slow_rebinds"),
+        surplus_replies: recorder.counter("proxy.duplicate_responses"),
+        decode_errors: rig.net.metrics_snapshot().decode_errors,
         gray_faults_recorded,
         ledger_up,
     }
@@ -461,10 +310,11 @@ fn run_soak<N: Substrate<WhisperMsg>>(net: &mut N, rig: &SoakRig, t: &ChaosTunin
 pub fn run_soak_threadnet(t: &ChaosTuning, seed: u64) -> SoakOutcome {
     let mut builder = ThreadNetBuilder::new();
     builder.set_chaos_seed(seed);
-    let rig = wire_with_driver(&mut builder, t);
-    let mut net = builder.start();
-    let out = run_soak(&mut net, &rig, t);
-    net.shutdown();
+    let mut rig = soak_wiring(t)
+        .boot(builder, |b| Ok(b.start()))
+        .expect("the chaos scenario is well-formed");
+    let out = run_soak(&mut rig, t);
+    rig.net.shutdown();
     out
 }
 
@@ -472,10 +322,11 @@ pub fn run_soak_threadnet(t: &ChaosTuning, seed: u64) -> SoakOutcome {
 pub fn run_soak_tcp(t: &ChaosTuning, seed: u64) -> SoakOutcome {
     let mut builder = TcpNetBuilder::new();
     builder.set_chaos_seed(seed);
-    let rig = wire_with_driver(&mut builder, t);
-    let mut net = builder.start().expect("loopback sockets");
-    let out = run_soak(&mut net, &rig, t);
-    net.shutdown();
+    let mut rig = soak_wiring(t)
+        .boot(builder, TcpNetBuilder::start)
+        .expect("loopback sockets");
+    let out = run_soak(&mut rig, t);
+    rig.net.shutdown();
     out
 }
 
@@ -491,109 +342,67 @@ enum RaceLeg {
 /// fault→fast-answer time is the recovery the leg measures. The fast bar
 /// sits well under both the slowed round trip and the retry timeout, so a
 /// late or slowed answer cannot count as recovery.
-fn race_leg<N: Substrate<WhisperMsg>>(net: &mut N, rig: &SoakRig, leg: RaceLeg) -> SimDuration {
-    settle(net, rig);
-    let topo = &rig.topo;
-    let driver = rig.driver;
-    let responses = &rig.responses;
-    let coordinator = *topo.group_nodes[0].last().expect("at least one b-peer");
+fn race_leg<N: Substrate<WhisperMsg>>(rig: &mut Booted<N>, leg: RaceLeg) -> SimDuration {
+    settle(rig);
+    let substrate = rig.net.name();
+    let coordinator = *rig.topology.group_nodes[0]
+        .last()
+        .expect("at least one b-peer");
     let fast_bar = SimDuration::from_millis(80);
     let probe_window = SimDuration::from_millis(150);
-    let step = SimDuration::from_millis(5);
 
     // Prime: bind the proxy and feed the fail-slow detector its healthy
     // baseline (PeerHealth needs min_samples before it may trip).
-    for id in 1..=4u64 {
-        net.inject(
-            driver,
-            topo.proxy,
-            WhisperMsg::SoapRequest {
-                request_id: id,
-                envelope: marked_envelope(id),
-            },
+    for n in 1..=4u64 {
+        let id = rig.submit_envelope(marked_envelope(n));
+        assert!(
+            rig.await_response(id, SimDuration::from_secs(10)).is_some(),
+            "{substrate}: prime request {n} never answered"
         );
-        let sent = net.now();
-        loop {
-            net.advance(step);
-            if responses
-                .lock()
-                .expect("driver store poisoned")
-                .contains_key(&id)
-            {
-                break;
-            }
-            assert!(
-                net.now().since(sent) < SimDuration::from_secs(10),
-                "{}: prime request {id} never answered",
-                net.name()
-            );
-        }
     }
 
-    let t0 = net.now();
+    let t0 = rig.net.now();
     match leg {
-        RaceLeg::Crash => net.kill_node(coordinator),
-        RaceLeg::FailSlow(factor) => net.apply_action(FaultAction::Slow(coordinator, factor)),
+        RaceLeg::Crash => rig.net.kill_node(coordinator),
+        RaceLeg::FailSlow(factor) => rig.net.apply_action(FaultAction::Slow(coordinator, factor)),
     }
 
-    let mut id = 100u64;
-    loop {
-        id += 1;
-        let sent = net.now();
-        net.inject(
-            driver,
-            topo.proxy,
-            WhisperMsg::SoapRequest {
-                request_id: id,
-                envelope: marked_envelope(id),
-            },
-        );
-        while net.now().since(sent) < probe_window {
-            net.advance(step);
-            let answered = responses.lock().expect("driver store poisoned");
-            if let Some((_, envelope)) = answered.get(&id) {
-                let latency = net.now().since(sent);
-                let ok = Envelope::parse(envelope)
-                    .map(|e| !e.is_fault())
-                    .unwrap_or(false);
-                if ok && latency <= fast_bar {
-                    return net.now().since(t0);
-                }
-                break; // answered, but late or a fault: probe again
+    for n in 101u64.. {
+        let sent = rig.net.now();
+        let id = rig.submit_envelope(marked_envelope(n));
+        // answered late, answered with a fault, or not yet: probe again
+        if let Some(answer) = rig.await_response(id, probe_window) {
+            let ok = Envelope::parse(&answer.envelope)
+                .map(|e| !e.is_fault())
+                .unwrap_or(false);
+            if ok && answer.at.since(sent) <= fast_bar {
+                return answer.at.since(t0);
             }
         }
         assert!(
-            net.now().since(t0) < SimDuration::from_secs(30),
-            "{}: service never recovered from {leg:?}",
-            net.name()
+            rig.net.now().since(t0) < SimDuration::from_secs(30),
+            "{substrate}: service never recovered from {leg:?}"
         );
     }
+    unreachable!("the probe loop returns or panics")
 }
 
 /// Times crash recovery against fail-slow recovery on OS threads, each leg
 /// on a fresh boot so the crash leg's re-election cannot contaminate the
 /// gray leg.
 pub fn race(t: &ChaosTuning) -> RaceOutcome {
-    let crash_recovery = {
-        let mut builder = ThreadNetBuilder::new();
-        let rig = wire_with_driver(&mut builder, t);
-        let mut net = builder.start();
-        let d = race_leg(&mut net, &rig, RaceLeg::Crash);
-        net.shutdown();
-        d
-    };
-    let fail_slow_recovery = {
-        let mut builder = ThreadNetBuilder::new();
-        let rig = wire_with_driver(&mut builder, t);
-        let mut net = builder.start();
-        let d = race_leg(&mut net, &rig, RaceLeg::FailSlow(t.slow_factor));
-        net.shutdown();
+    let run = |leg| {
+        let mut rig = soak_wiring(t)
+            .boot_threadnet()
+            .expect("the chaos scenario is well-formed");
+        let d = race_leg(&mut rig, leg);
+        rig.net.shutdown();
         d
     };
     RaceOutcome {
         substrate: "threadnet",
-        crash_recovery,
-        fail_slow_recovery,
+        crash_recovery: run(RaceLeg::Crash),
+        fail_slow_recovery: run(RaceLeg::FailSlow(t.slow_factor)),
     }
 }
 
@@ -673,7 +482,6 @@ pub fn record(summary: &mut crate::BenchSummary, rows: &[SoakOutcome], races: &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whisper_simnet::{SimNet, SwitchedLan};
 
     /// The full soak on the deterministic simulator: exactly-once at the
     /// edge, goodput above the floor, gray incidents on the books — all
@@ -681,9 +489,8 @@ mod tests {
     #[test]
     fn sim_soak_is_exactly_once_and_above_the_goodput_floor() {
         let t = ChaosTuning::default();
-        let mut net: SimNet<WhisperMsg> = SimNet::with_link(17, SwitchedLan::paper_testbed());
-        let rig = wire_with_driver(&mut net, &t);
-        let out = run_soak(&mut net, &rig, &t);
+        let mut rig = soak_wiring(&t).boot_sim(17).expect("well-formed");
+        let out = run_soak(&mut rig, &t);
         assert_eq!(out.lost, 0, "lost requests: {out:?}");
         assert_eq!(out.duplicated, 0, "duplicated answers: {out:?}");
         assert!(

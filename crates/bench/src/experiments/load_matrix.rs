@@ -11,7 +11,7 @@
 //!   open-loop rate the deployment still serves at ≥ 95% goodput;
 //! - **coordinated-omission-corrected percentiles** at every open-loop
 //!   point (latency from the intended send time, see
-//!   [`LoadCluster::run_open`]);
+//!   [`run_open`]);
 //! - the **closed-loop peak**: the throughput ceiling a widening
 //!   in-flight window finds, which bounds the whole matrix from above.
 //!
@@ -22,8 +22,9 @@
 
 use std::time::Duration;
 
-use crate::loadplane::{LoadCluster, LoadOutcome, LoadTuning};
+use crate::loadplane::{load_scenario, run_closed, run_open, LoadOutcome, LoadTuning};
 use crate::Table;
+use whisper_simnet::SimDuration;
 
 /// Parameters of the saturation matrix.
 #[derive(Debug, Clone)]
@@ -122,7 +123,7 @@ impl MatrixRow {
     }
 }
 
-/// Runs the whole matrix: one [`LoadCluster`] boot per replica count,
+/// Runs the whole matrix: one [`load_scenario`] boot per replica count,
 /// closed-loop points first (they find the ceiling), then the open-loop
 /// rate sweep.
 ///
@@ -137,22 +138,27 @@ pub fn run_matrix(params: &MatrixParams) -> std::io::Result<Vec<MatrixRow>> {
             workers: params.workers,
             ..LoadTuning::default()
         };
-        let cluster = LoadCluster::start(peers, tuning)?;
-        if !cluster.settle(Duration::from_secs(20)) {
+        let mut rig = load_scenario(peers, tuning)
+            .boot_tcp()
+            .map_err(std::io::Error::other)?;
+        // Measuring before the boot election settles would charge Bully
+        // waits to the first requests.
+        if !rig.await_election(0, SimDuration::from_secs(20)) {
+            rig.net.shutdown();
             return Err(std::io::Error::other(format!(
                 "boot election did not settle with {peers} b-peers"
             )));
         }
         for &window in &params.windows {
-            let out = cluster.run_closed(window, params.closed_total, params.drain);
+            let out = run_closed(&mut rig, window, params.closed_total, params.drain);
             rows.push(MatrixRow::from_outcome(peers, "closed", 0.0, window, &out));
         }
         for &rate in &params.rates {
             let total = (rate * params.secs).max(1.0) as u64;
-            let out = cluster.run_open(rate, total, params.drain);
+            let out = run_open(&mut rig, rate, total, params.drain);
             rows.push(MatrixRow::from_outcome(peers, "open", rate, 0, &out));
         }
-        cluster.shutdown();
+        rig.net.shutdown();
     }
     Ok(rows)
 }

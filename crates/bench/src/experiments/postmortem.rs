@@ -129,6 +129,7 @@ pub fn run_on<N: Substrate<WhisperMsg>>(
         .clone()
         .expect("the postmortem deployment wires a ledger");
     let flight = booted
+        .topology
         .flight
         .clone()
         .expect("the postmortem deployment wires the flight plane");
@@ -206,28 +207,36 @@ pub fn run_on<N: Substrate<WhisperMsg>>(
     }
 }
 
-/// Boots the scenario on all three substrates in turn and runs the same
-/// SLO-supervised schedule on each.
-pub fn run_matrix(t: &MatrixTuning) -> Vec<PostmortemOutcome> {
+/// Boots the scenario on `substrate` (`"sim"`, `"threadnet"`, anything
+/// else is TCP loopback) and runs the SLO-supervised schedule on it.
+pub fn run_leg(substrate: &str, t: &MatrixTuning) -> PostmortemOutcome {
     let dep = scenario(t);
-    let mut rows = Vec::with_capacity(3);
+    match substrate {
+        "sim" => {
+            let mut booted = dep.boot_sim(11).expect("well-formed scenario");
+            run_on(&mut booted, t)
+        }
+        "threadnet" => {
+            let mut booted = dep.boot_threadnet().expect("well-formed scenario");
+            let row = run_on(&mut booted, t);
+            booted.net.shutdown();
+            row
+        }
+        _ => {
+            let mut booted = dep.boot_tcp().expect("loopback sockets");
+            let row = run_on(&mut booted, t);
+            booted.net.shutdown();
+            row
+        }
+    }
+}
 
-    let mut sim = dep
-        .boot_sim(11)
-        .expect("the postmortem scenario is well-formed");
-    rows.push(run_on(&mut sim, t));
-
-    let mut threads = dep
-        .boot_threadnet()
-        .expect("the postmortem scenario is well-formed");
-    rows.push(run_on(&mut threads, t));
-    threads.net.shutdown();
-
-    let mut tcp = dep.boot_tcp().expect("loopback sockets");
-    rows.push(run_on(&mut tcp, t));
-    tcp.net.shutdown();
-
-    rows
+/// Runs the same SLO-supervised schedule on all three substrates in turn.
+pub fn run_matrix(t: &MatrixTuning) -> Vec<PostmortemOutcome> {
+    ["sim", "threadnet", "tcp"]
+        .iter()
+        .map(|s| run_leg(s, t))
+        .collect()
 }
 
 /// Renders the matrix.

@@ -21,10 +21,9 @@
 //! enforces; before failover went by notification the Bully answer
 //! timeout `el` sat on top (`[to, to + hb + 2·el]`).
 
-use crate::Table;
+use crate::{ClusterTuning, Table};
 use whisper::deploy::{Booted, Deployment, Topology};
 use whisper::WhisperMsg;
-use whisper_election::BullyConfig;
 use whisper_simnet::{FaultPlan, SimDuration, SimTime, Substrate};
 
 /// Scenario shape and fault schedule, shared by every substrate.
@@ -32,12 +31,8 @@ use whisper_simnet::{FaultPlan, SimDuration, SimTime, Substrate};
 pub struct MatrixTuning {
     /// Redundant b-peers in the group.
     pub peers: usize,
-    /// Heartbeat beacon period.
-    pub heartbeat_period: SimDuration,
-    /// Silence after which a peer is suspected dead.
-    pub failure_timeout: SimDuration,
-    /// Bully answer/coordinator waits (scaled off this value).
-    pub election_timeout: SimDuration,
+    /// Heartbeat/failure/election timing.
+    pub cluster: ClusterTuning,
     /// Healthy run-in before the coordinator is killed.
     pub warmup: SimDuration,
     /// How long the killed coordinator stays down.
@@ -47,15 +42,13 @@ pub struct MatrixTuning {
 }
 
 impl Default for MatrixTuning {
-    /// Aggressive live-cluster timings (the [`crate::ClusterTuning`]
-    /// defaults) so a full three-substrate matrix takes seconds of wall
-    /// clock, not the paper's JXTA-era multi-second windows per leg.
+    /// Aggressive live-cluster timings (the [`ClusterTuning`] defaults) so
+    /// a full three-substrate matrix takes seconds of wall clock, not the
+    /// paper's JXTA-era multi-second windows per leg.
     fn default() -> Self {
         MatrixTuning {
             peers: 5,
-            heartbeat_period: SimDuration::from_millis(50),
-            failure_timeout: SimDuration::from_millis(250),
-            election_timeout: SimDuration::from_millis(200),
+            cluster: ClusterTuning::default(),
             warmup: SimDuration::from_millis(1500),
             outage: SimDuration::from_millis(1000),
             settle: SimDuration::from_millis(1500),
@@ -97,13 +90,7 @@ pub struct SubstrateOutcome {
 /// The shared scenario: `peers` redundant b-peers, ledger on, no clients.
 pub fn deployment(t: &MatrixTuning) -> Deployment {
     let mut dep = Deployment::student(t.peers);
-    dep.bpeer.heartbeat_period = t.heartbeat_period;
-    dep.bpeer.failure_timeout = t.failure_timeout;
-    dep.bpeer.bully = BullyConfig {
-        answer_timeout: t.election_timeout,
-        coordinator_timeout: t.election_timeout.saturating_mul(2),
-        cooldown: t.election_timeout,
-    };
+    dep.bpeer = t.cluster.bpeer();
     dep
 }
 
@@ -121,27 +108,30 @@ pub fn fault_plan(topo: &Topology, t: &MatrixTuning) -> FaultPlan {
     plan
 }
 
-/// Runs the schedule on one booted substrate and reads the ledger's
-/// verdict. This function is the point of the experiment: it sees only
-/// [`Substrate`], so the code is literally identical for virtual time and
-/// both wall-clock runtimes.
+/// Runs a schedule on one booted substrate and reads the ledger's
+/// verdict: the built-in kill/restart ([`fault_plan`]) over
+/// [`MatrixTuning::horizon`], or `custom` — e.g. a plan loaded from a file
+/// with [`FaultPlan::parse_text`] via `fault_matrix --plan` — over its
+/// last action plus the tuning's settle tail. This function is the point
+/// of the experiment: it sees only [`Substrate`], so the code is literally
+/// identical for virtual time and both wall-clock runtimes.
 pub fn run_on<N: Substrate<WhisperMsg>>(
     booted: &mut Booted<N>,
     t: &MatrixTuning,
+    custom: Option<&FaultPlan>,
 ) -> SubstrateOutcome {
-    let plan = fault_plan(&booted.topology, t);
-    run_plan_on(booted, &plan, t.horizon())
-}
-
-/// Replays an arbitrary [`FaultPlan`] — e.g. one loaded from a file with
-/// [`FaultPlan::parse_text`] via `fault_matrix --plan` — over `horizon`
-/// and reads the ledger's verdict, exactly like [`run_on`] does for the
-/// built-in kill/restart schedule.
-pub fn run_plan_on<N: Substrate<WhisperMsg>>(
-    booted: &mut Booted<N>,
-    plan: &FaultPlan,
-    horizon: SimDuration,
-) -> SubstrateOutcome {
+    let built_in;
+    let (plan, horizon) = match custom {
+        Some(plan) => {
+            let last = plan.actions().iter().map(|&(at, _)| at).max();
+            let last = last.unwrap_or(SimTime::ZERO).since(SimTime::ZERO);
+            (plan, last + t.settle)
+        }
+        None => {
+            built_in = fault_plan(&booted.topology, t);
+            (&built_in, t.horizon())
+        }
+    };
     booted.net.execute_plan(plan);
     booted.net.advance(horizon);
 
@@ -177,25 +167,25 @@ pub fn run_plan_on<N: Substrate<WhisperMsg>>(
 }
 
 /// Boots the deployment on all three substrates in turn and runs the
-/// same schedule on each. Wall-clock cost: two live horizons (the
-/// simulator leg is virtual).
-pub fn run_matrix(t: &MatrixTuning) -> Vec<SubstrateOutcome> {
+/// same schedule (see [`run_on`]) on each. Wall-clock cost: two live
+/// horizons (the simulator leg is virtual).
+pub fn run_matrix(t: &MatrixTuning, custom: Option<&FaultPlan>) -> Vec<SubstrateOutcome> {
     let dep = deployment(t);
     let mut rows = Vec::with_capacity(3);
 
     let mut sim = dep
         .boot_sim(11)
         .expect("the matrix scenario is well-formed");
-    rows.push(run_on(&mut sim, t));
+    rows.push(run_on(&mut sim, t, custom));
 
     let mut threads = dep
         .boot_threadnet()
         .expect("the matrix scenario is well-formed");
-    rows.push(run_on(&mut threads, t));
+    rows.push(run_on(&mut threads, t, custom));
     threads.net.shutdown();
 
     let mut tcp = dep.boot_tcp().expect("loopback sockets");
-    rows.push(run_on(&mut tcp, t));
+    rows.push(run_on(&mut tcp, t, custom));
     tcp.net.shutdown();
 
     rows
@@ -279,15 +269,15 @@ mod tests {
             .mttr
             .unwrap_or_else(|| panic!("{}: no mttr: {r:?}", r.substrate));
         assert!(
-            mttr >= t.failure_timeout,
+            mttr >= t.cluster.failure_timeout,
             "{}: repaired before the failure timeout: {mttr} vs {}",
             r.substrate,
-            t.failure_timeout
+            t.cluster.failure_timeout
         );
         let ceiling = SimDuration::from_micros(
-            (t.failure_timeout.as_micros()
-                + t.heartbeat_period.as_micros()
-                + 2 * t.election_timeout.as_micros())
+            (t.cluster.failure_timeout.as_micros()
+                + t.cluster.heartbeat_period.as_micros()
+                + 2 * t.cluster.election_timeout.as_micros())
                 * 4,
         );
         assert!(
@@ -312,12 +302,12 @@ mod tests {
         let dep = deployment(&t);
 
         let mut sim = dep.boot_sim(3).expect("well-formed");
-        let sim_row = run_on(&mut sim, &t);
+        let sim_row = run_on(&mut sim, &t, None);
         assert_eq!(sim_row.substrate, "sim");
         assert_outcome_sane(&sim_row, &t);
 
         let mut live = dep.boot_threadnet().expect("well-formed");
-        let live_row = run_on(&mut live, &t);
+        let live_row = run_on(&mut live, &t, None);
         live.net.shutdown();
         assert_eq!(live_row.substrate, "threadnet");
         assert_outcome_sane(&live_row, &t);

@@ -26,8 +26,13 @@
 //! the machine-readable trajectory `target/experiments/BENCH_PR10.json`
 //! ([`BenchSummary`]).
 //!
-//! Beyond the experiments, [`TcpCluster`] + the `whisper-top` binary give
-//! a live TCP-loopback deployment with in-band scope introspection.
+//! Every live experiment drives one facade, [`whisper::Booted`]: a
+//! scenario from [`cluster`] (or [`loadplane`], or an experiment's own)
+//! booted on a substrate, polled, settled and fed through its edge node.
+//! What lives here is what is per-experiment — the fast
+//! [`ClusterTuning`], the student and pulse scenarios, the load shapes —
+//! and the `whisper-top` binary shows the rig at work: a live TCP-loopback
+//! deployment with in-band scope introspection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +45,8 @@ pub mod obs;
 pub mod summary;
 mod table;
 
-pub use cluster::{ClusterTuning, PulseTuning, TcpCluster};
+pub use cluster::{ClusterTuning, PulseTuning};
 pub use exporter::{render_prometheus, PulseExporter};
-pub use loadplane::{LoadCluster, LoadOutcome, LoadTuning};
+pub use loadplane::{LoadOutcome, LoadTuning};
 pub use summary::{time_mean_us, BenchSummary};
 pub use table::Table;

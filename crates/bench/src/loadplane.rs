@@ -1,19 +1,23 @@
 //! The whisper-surge saturation load plane: a real-TCP Whisper
-//! deployment plus a workload driver that can push it to (and past) its
+//! deployment plus two workload shapes that can push it to (and past) its
 //! knee.
 //!
-//! Two workload shapes, both measured at the driver:
+//! Both shapes drive a booted [`load_scenario`] through the rig's edge
+//! node and are measured there — the edge stamps every answer with its
+//! arrival time on the actor thread, so latency is arrival minus the
+//! instant the measurement counts from, whenever the pacing thread gets
+//! around to reading it:
 //!
-//! - **Open loop** ([`LoadCluster::run_open`]): requests are offered on a
-//!   fixed schedule regardless of how the system responds — the honest
-//!   model of independent B2B partners. Latency is measured from each
-//!   request's *intended* send time on that schedule, not from the moment
-//!   the sender got around to it, so coordinated omission cannot launder
+//! - **Open loop** ([`run_open`]): requests are offered on a fixed
+//!   schedule regardless of how the system responds — the honest model of
+//!   independent B2B partners. Latency is measured from each request's
+//!   *intended* send time on that schedule, not from the moment the
+//!   sender got around to it, so coordinated omission cannot launder
 //!   queueing delay out of the percentiles.
-//! - **Closed loop** ([`LoadCluster::run_closed`]): a fixed window of
-//!   requests is kept in flight and every completion is immediately
-//!   replaced — the shape that finds the pipeline's saturation throughput
-//!   without overrunning it.
+//! - **Closed loop** ([`run_closed`]): a fixed window of requests is kept
+//!   in flight and every completion is immediately replaced — the shape
+//!   that finds the pipeline's saturation throughput without overrunning
+//!   it.
 //!
 //! The deployment is the paper's student scenario on TCP loopback with
 //! load-sharing on and the surge worker pool enabled
@@ -21,30 +25,21 @@
 //! threads while the actor loops keep draining heartbeats, elections and
 //! the next requests.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use whisper::{
-    BPeerConfig, GroupSpec, ProxyConfig, ScenarioWiring, ServiceBackend, StudentRegistry,
-    WhisperMsg,
-};
-use whisper_election::BullyConfig;
-use whisper_obs::NodeSnapshot;
-use whisper_simnet::tcpnet::{TcpNet, TcpNetBuilder};
-use whisper_simnet::{Actor, Context, NodeId, SimDuration};
+use whisper::{Booted, ScenarioWiring, WhisperMsg};
+use whisper_simnet::tcpnet::TcpNet;
+use whisper_simnet::{SimDuration, SimTime};
 use whisper_soap::Envelope;
-use whisper_xml::Element;
 
-use crate::cluster::{poll_snapshots_on, ClusterTuning, ScopeProbe, SnapshotStore, TcpCluster};
+use crate::cluster::{student_info, student_registry, student_wiring, ClusterTuning};
 
 /// Tuning of the load plane's deployment.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadTuning {
-    /// Heartbeat/failure/election timing (same knobs as [`TcpCluster`]).
+    /// Heartbeat/failure/election timing.
     pub cluster: ClusterTuning,
-    /// Worker threads per b-peer (see [`BPeerConfig::workers`]).
+    /// Worker threads per b-peer (see [`whisper::BPeerConfig::workers`]).
     pub workers: usize,
     /// Proxy-side wait before a request attempt is declared failed.
     pub request_timeout: SimDuration,
@@ -60,62 +55,18 @@ impl Default for LoadTuning {
     }
 }
 
-/// What the driver actor and the pacing thread share. The driver only
-/// counts a response when its id is still parked in `sent`: a `reset`
-/// between measurement points empties the map, so stragglers from a past
-/// (saturated) point cannot leak into the next one's numbers.
-struct DriverShared {
-    /// Request id → the instant latency is measured from (open loop: the
-    /// intended send time; closed loop: the actual send time).
-    sent: Mutex<HashMap<u64, Instant>>,
-    /// Latencies of completed requests, in microseconds.
-    latencies_us: Mutex<Vec<u64>>,
-    /// Responses correlated to a live measurement (faults included).
-    completed: AtomicUsize,
-    /// `<soap:Fault>` responses among them.
-    faults: AtomicUsize,
+/// The load plane's deployment: `peers` student-registry replicas with
+/// load-sharing on and `tuning.workers` surge workers each.
+pub fn load_scenario(peers: usize, tuning: LoadTuning) -> ScenarioWiring {
+    let mut wiring = student_wiring(peers, student_registry, tuning.cluster);
+    wiring.bpeer.load_share = true;
+    wiring.bpeer.workers = tuning.workers;
+    wiring.proxy.request_timeout = tuning.request_timeout;
+    wiring
 }
 
-/// The workload end of the plane: a non-peer node the pacing thread
-/// injects [`WhisperMsg::SoapRequest`]s from; it timestamps every
-/// [`WhisperMsg::SoapResponse`] the proxy sends back.
-struct SurgeDriver {
-    shared: Arc<DriverShared>,
-}
-
-impl Actor<WhisperMsg> for SurgeDriver {
-    fn on_message(&mut self, _ctx: &mut Context<'_, WhisperMsg>, _from: NodeId, msg: WhisperMsg) {
-        let WhisperMsg::SoapResponse {
-            request_id,
-            envelope,
-        } = msg
-        else {
-            return;
-        };
-        let now = Instant::now();
-        let started = self
-            .shared
-            .sent
-            .lock()
-            .expect("driver store poisoned")
-            .remove(&request_id);
-        let Some(t0) = started else {
-            return; // a straggler from a reset-away measurement point
-        };
-        self.shared
-            .latencies_us
-            .lock()
-            .expect("driver store poisoned")
-            .push(now.duration_since(t0).as_micros() as u64);
-        let fault = Envelope::parse(&envelope)
-            .map(|e| e.is_fault())
-            .unwrap_or(true);
-        if fault {
-            self.shared.faults.fetch_add(1, Ordering::SeqCst);
-        }
-        self.shared.completed.fetch_add(1, Ordering::SeqCst);
-    }
-}
+/// The load plane's rig: [`load_scenario`] booted on TCP loopback.
+pub type LoadRig = Booted<TcpNet<WhisperMsg>>;
 
 /// One measured operating point.
 #[derive(Debug, Clone)]
@@ -159,290 +110,115 @@ impl LoadOutcome {
     }
 }
 
-/// A booted load plane: `peers` b-peer replicas (load-sharing on, surge
-/// workers enabled), the SWS-proxy, a scope probe for settling, and the
-/// surge driver. Node layout: `0..peers` b-peers, proxy, probe, driver.
-pub struct LoadCluster {
-    net: TcpNet<WhisperMsg>,
-    bpeer_nodes: Vec<NodeId>,
-    proxy_node: NodeId,
-    probe_node: NodeId,
-    driver_node: NodeId,
-    snapshots: SnapshotStore,
-    shared: Arc<DriverShared>,
-    next_scope_request: AtomicU64,
-    next_request: AtomicU64,
+/// The paper's `StudentInformation` request, serialized once per run so
+/// the pacing thread does no XML work per request.
+fn request_envelope() -> String {
+    Envelope::request(student_info("u1000")).to_xml_string()
 }
 
-impl LoadCluster {
-    /// Boots the plane on TCP loopback.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors while opening the loopback mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `peers` is zero.
-    pub fn start(peers: usize, tuning: LoadTuning) -> std::io::Result<LoadCluster> {
-        assert!(peers > 0, "need at least one b-peer");
-        let service = whisper_wsdl::samples::student_management();
-        let op = service
-            .operation("StudentInformation")
-            .expect("sample operation");
-        let backends: Vec<Box<dyn ServiceBackend>> = (0..peers)
-            .map(|_| Box::new(StudentRegistry::operational_db().with_sample_data()) as _)
-            .collect();
-        let groups = vec![GroupSpec::from_operation("StudentInfoGroup", op, backends)];
-        let wiring = ScenarioWiring {
-            service,
-            ontology: whisper_ontology::samples::university_ontology(),
-            groups,
-            use_rendezvous: false,
-            firewall_bpeers: false,
-            bpeer: BPeerConfig {
-                heartbeat_period: tuning.cluster.heartbeat_period,
-                failure_timeout: tuning.cluster.failure_timeout,
-                bully: BullyConfig {
-                    answer_timeout: tuning.cluster.election_timeout,
-                    coordinator_timeout: tuning.cluster.election_timeout
-                        + tuning.cluster.election_timeout,
-                    cooldown: tuning.cluster.election_timeout,
-                },
-                load_share: true,
-                workers: tuning.workers,
-                ..BPeerConfig::default()
-            },
-            proxy: ProxyConfig {
-                request_timeout: tuning.request_timeout,
-                ..ProxyConfig::default()
-            },
-            clients: Vec::new(),
-            ledger: None,
-            recorder: None,
-            pulse: None,
-            flight: None,
+/// Waits up to `drain` for the tail of `sent` (request id, instant its
+/// latency counts from), then reads every answer off the edge and freezes
+/// the point. (Each run starts by forgetting what the last one left
+/// unanswered, so a straggler from a saturated point cannot leak into the
+/// next one's numbers.)
+fn finish(
+    rig: &mut LoadRig,
+    started: SimTime,
+    sent: &[(u64, SimTime)],
+    drain: Duration,
+) -> LoadOutcome {
+    rig.await_answered(
+        sent.len() as u64,
+        SimDuration::from_micros(drain.as_micros() as u64),
+    );
+    let cutoff = rig.net.now();
+    let mut last = started;
+    let mut faults = 0;
+    let mut latencies_us = Vec::with_capacity(sent.len());
+    for &(id, t0) in sent {
+        let Some(answer) = rig.response(id) else {
+            continue;
         };
-
-        let mut builder = TcpNetBuilder::new();
-        let topo = wiring
-            .wire(&mut builder)
-            .expect("the load scenario is well-formed");
-        let snapshots: SnapshotStore = Arc::new(Mutex::new(HashMap::new()));
-        let probe_node = builder.add_node(ScopeProbe {
-            store: Arc::clone(&snapshots),
-        });
-        let shared = Arc::new(DriverShared {
-            sent: Mutex::new(HashMap::new()),
-            latencies_us: Mutex::new(Vec::new()),
-            completed: AtomicUsize::new(0),
-            faults: AtomicUsize::new(0),
-        });
-        let driver_node = builder.add_node(SurgeDriver {
-            shared: Arc::clone(&shared),
-        });
-
-        let net = builder.start()?;
-        Ok(LoadCluster {
-            net,
-            bpeer_nodes: topo.group_nodes[0].clone(),
-            proxy_node: topo.proxy,
-            probe_node,
-            driver_node,
-            snapshots,
-            shared,
-            next_scope_request: AtomicU64::new(1),
-            next_request: AtomicU64::new(1),
-        })
+        last = last.max(answer.at);
+        latencies_us.push(answer.at.as_micros().saturating_sub(t0.as_micros()));
+        let fault = Envelope::parse(&answer.envelope)
+            .map(|e| e.is_fault())
+            .unwrap_or(true);
+        faults += u64::from(fault);
     }
-
-    /// The b-peer nodes, in peer-id order.
-    pub fn bpeer_nodes(&self) -> &[NodeId] {
-        &self.bpeer_nodes
+    latencies_us.sort_unstable();
+    let end = if latencies_us.len() == sent.len() {
+        last
+    } else {
+        cutoff
+    };
+    LoadOutcome {
+        issued: sent.len() as u64,
+        completed: latencies_us.len() as u64,
+        faults,
+        elapsed: Duration::from_micros(end.since(started).as_micros()),
+        latencies_us,
     }
+}
 
-    /// The proxy node.
-    pub fn proxy_node(&self) -> NodeId {
-        self.proxy_node
-    }
-
-    /// Waits until every b-peer answers a scope poll and all agree on one
-    /// coordinator; `true` on success, `false` when `timeout` ran out.
-    /// Measuring before the boot election settles would charge Bully
-    /// waits to the first requests.
-    pub fn settle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+/// Open-loop run: `total` requests offered at `rate` per second on a
+/// fixed schedule. Each latency is measured from the request's intended
+/// send time on that schedule — if the sender (or anything downstream)
+/// stalls, the stall shows up in the percentiles instead of silently
+/// thinning the load (coordinated-omission correction). After the last
+/// injection the run drains for up to `drain`.
+///
+/// # Panics
+///
+/// Panics unless `rate` is positive.
+pub fn run_open(rig: &mut LoadRig, rate: f64, total: u64, drain: Duration) -> LoadOutcome {
+    assert!(rate > 0.0, "need a positive offered rate");
+    rig.forget_requests();
+    let envelope = request_envelope();
+    let started = rig.net.now();
+    let mut sent = Vec::with_capacity(total as usize);
+    for i in 0..total {
+        let intended = started + SimDuration::from_micros((i as f64 * 1e6 / rate) as u64);
+        // Sleep toward the slot, then spin the last stretch: loopback
+        // schedules are microseconds apart and sleep granularity is not.
         loop {
-            let snaps = self.poll_snapshots(&self.bpeer_nodes, Duration::from_secs(2));
-            if snaps.len() == self.bpeer_nodes.len()
-                && TcpCluster::agreed_coordinator(&snaps).is_some()
-            {
-                return true;
+            let now = rig.net.now();
+            if now >= intended {
+                break;
             }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-
-    /// Scope poll (same in-band protocol as [`TcpCluster`]).
-    pub fn poll_snapshots(
-        &self,
-        targets: &[NodeId],
-        timeout: Duration,
-    ) -> Vec<(NodeId, NodeSnapshot)> {
-        poll_snapshots_on(
-            &self.net,
-            self.probe_node,
-            &self.snapshots,
-            &self.next_scope_request,
-            targets,
-            timeout,
-        )
-    }
-
-    /// Crashes `node` (for the fail-during-saturation experiments).
-    pub fn kill_node(&self, node: NodeId) {
-        self.net.kill_node(node);
-    }
-
-    /// Restarts a killed node.
-    pub fn restart_node(&self, node: NodeId) {
-        self.net.restart_node(node);
-    }
-
-    /// Forgets every in-flight or finished measurement so the next run
-    /// starts from zero; responses to forgotten requests are ignored.
-    fn reset(&self) {
-        self.shared
-            .sent
-            .lock()
-            .expect("driver store poisoned")
-            .clear();
-        self.shared
-            .latencies_us
-            .lock()
-            .expect("driver store poisoned")
-            .clear();
-        self.shared.completed.store(0, Ordering::SeqCst);
-        self.shared.faults.store(0, Ordering::SeqCst);
-    }
-
-    /// Injects one request whose latency clock starts at `t0`.
-    fn submit(&self, t0: Instant, envelope: &str) -> u64 {
-        let request_id = self.next_request.fetch_add(1, Ordering::SeqCst);
-        self.shared
-            .sent
-            .lock()
-            .expect("driver store poisoned")
-            .insert(request_id, t0);
-        self.net.inject(
-            self.driver_node,
-            self.proxy_node,
-            WhisperMsg::SoapRequest {
-                request_id,
-                envelope: envelope.to_string(),
-            },
-        );
-        request_id
-    }
-
-    /// The paper's `StudentInformation` request, serialized once per run
-    /// so the pacing thread does no XML work per request.
-    fn request_envelope() -> String {
-        let mut payload = Element::new("StudentInformation");
-        payload.push_child(Element::with_text("StudentID", "u1000"));
-        Envelope::request(payload).to_xml_string()
-    }
-
-    /// Waits until `total` responses are counted or `drain` passes.
-    fn await_quiesce(&self, total: u64, drain: Duration) {
-        let deadline = Instant::now() + drain;
-        while (self.shared.completed.load(Ordering::SeqCst) as u64) < total
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Freezes the counters into a [`LoadOutcome`].
-    fn outcome(&self, issued: u64, elapsed: Duration) -> LoadOutcome {
-        let mut latencies_us = self
-            .shared
-            .latencies_us
-            .lock()
-            .expect("driver store poisoned")
-            .clone();
-        latencies_us.sort_unstable();
-        LoadOutcome {
-            issued,
-            completed: self.shared.completed.load(Ordering::SeqCst) as u64,
-            faults: self.shared.faults.load(Ordering::SeqCst) as u64,
-            elapsed,
-            latencies_us,
-        }
-    }
-
-    /// Open-loop run: `total` requests offered at `rate` per second on a
-    /// fixed schedule. Each latency is measured from the request's
-    /// intended send time on that schedule — if the sender (or anything
-    /// downstream) stalls, the stall shows up in the percentiles instead
-    /// of silently thinning the load (coordinated-omission correction).
-    /// After the last injection the run drains for up to `drain`.
-    pub fn run_open(&self, rate: f64, total: u64, drain: Duration) -> LoadOutcome {
-        assert!(rate > 0.0, "need a positive offered rate");
-        self.reset();
-        let envelope = Self::request_envelope();
-        let interval = Duration::from_secs_f64(1.0 / rate);
-        let start = Instant::now();
-        for i in 0..total {
-            let intended = start + interval.mul_f64(i as f64);
-            // Sleep toward the slot, then spin the last stretch: loopback
-            // schedules are microseconds apart and sleep granularity is not.
-            loop {
-                let now = Instant::now();
-                if now >= intended {
-                    break;
-                }
-                match (intended - now).checked_sub(Duration::from_micros(200)) {
-                    Some(coarse) => std::thread::sleep(coarse),
-                    None => std::hint::spin_loop(),
-                }
-            }
-            self.submit(intended, &envelope);
-        }
-        self.await_quiesce(total, drain);
-        self.outcome(total, start.elapsed())
-    }
-
-    /// Closed-loop run: keeps `window` requests in flight until `total`
-    /// have been issued, replacing each completion immediately. Latency is
-    /// measured from the actual send (a closed loop cannot fall behind its
-    /// own schedule, so there is nothing to correct).
-    pub fn run_closed(&self, window: usize, total: u64, drain: Duration) -> LoadOutcome {
-        assert!(window > 0, "need at least one request in flight");
-        self.reset();
-        let envelope = Self::request_envelope();
-        let start = Instant::now();
-        let mut issued = 0u64;
-        while issued < total {
-            let completed = self.shared.completed.load(Ordering::SeqCst) as u64;
-            if issued - completed < window as u64 {
-                self.submit(Instant::now(), &envelope);
-                issued += 1;
-            } else {
-                std::thread::sleep(Duration::from_micros(100));
+            match intended.since(now).as_micros().checked_sub(200) {
+                Some(coarse) => std::thread::sleep(Duration::from_micros(coarse)),
+                None => std::hint::spin_loop(),
             }
         }
-        self.await_quiesce(total, drain);
-        self.outcome(issued, start.elapsed())
+        sent.push((rig.submit_envelope(envelope.clone()), intended));
     }
+    finish(rig, started, &sent, drain)
+}
 
-    /// Stops every thread and closes every socket.
-    pub fn shutdown(self) {
-        self.net.shutdown();
+/// Closed-loop run: keeps `window` requests in flight until `total` have
+/// been issued, replacing each completion immediately. Latency is
+/// measured from the actual send (a closed loop cannot fall behind its
+/// own schedule, so there is nothing to correct).
+///
+/// # Panics
+///
+/// Panics when `window` is zero.
+pub fn run_closed(rig: &mut LoadRig, window: usize, total: u64, drain: Duration) -> LoadOutcome {
+    assert!(window > 0, "need at least one request in flight");
+    rig.forget_requests();
+    let envelope = request_envelope();
+    let started = rig.net.now();
+    let mut sent = Vec::with_capacity(total as usize);
+    while (sent.len() as u64) < total {
+        if sent.len() as u64 - rig.answered() < window as u64 {
+            let now = rig.net.now();
+            sent.push((rig.submit_envelope(envelope.clone()), now));
+        } else {
+            std::thread::sleep(Duration::from_micros(100));
+        }
     }
+    finish(rig, started, &sent, drain)
 }
 
 #[cfg(test)]
@@ -451,9 +227,14 @@ mod tests {
 
     #[test]
     fn closed_loop_completes_every_request_and_measures_latency() {
-        let cluster = LoadCluster::start(2, LoadTuning::default()).expect("loopback sockets");
-        assert!(cluster.settle(Duration::from_secs(15)), "boot election");
-        let out = cluster.run_closed(8, 400, Duration::from_secs(10));
+        let mut rig = load_scenario(2, LoadTuning::default())
+            .boot_tcp()
+            .expect("loopback sockets");
+        assert!(
+            rig.await_election(0, SimDuration::from_secs(15)),
+            "boot election"
+        );
+        let out = run_closed(&mut rig, 8, 400, Duration::from_secs(10));
         assert_eq!(out.issued, 400);
         assert_eq!(out.completed, 400, "{out:?}");
         assert_eq!(out.faults, 0, "{out:?}");
@@ -463,8 +244,8 @@ mod tests {
         assert!(p50 <= p99);
 
         // A second run on the same cluster starts from a clean slate.
-        let again = cluster.run_open(500.0, 100, Duration::from_secs(10));
+        let again = run_open(&mut rig, 500.0, 100, Duration::from_secs(10));
         assert_eq!(again.completed, 100, "{again:?}");
-        cluster.shutdown();
+        rig.net.shutdown();
     }
 }

@@ -18,7 +18,7 @@ use crate::Table;
 ///
 /// Propagates filesystem errors.
 pub fn save_jsonl(rec: &Recorder, name: &str) -> io::Result<PathBuf> {
-    let dir = PathBuf::from("target/experiments");
+    let dir = crate::table::experiments_dir();
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.jsonl"));
     fs::write(&path, rec.to_jsonl())?;

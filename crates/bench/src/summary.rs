@@ -245,18 +245,7 @@ impl BenchSummary {
     ///
     /// Propagates filesystem errors.
     pub fn save_merged(&self) -> io::Result<PathBuf> {
-        // Anchor to the workspace root (two levels above this crate's
-        // manifest): `cargo bench`/`cargo test` run with the *package*
-        // directory as CWD, and a relative path would scatter trajectory
-        // files instead of accumulating one.
-        let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let path = manifest
-            .ancestors()
-            .nth(2)
-            .unwrap_or(manifest)
-            .join("target")
-            .join("experiments")
-            .join("BENCH_PR10.json");
+        let path = crate::table::experiments_dir().join("BENCH_PR10.json");
         let mut merged = fs::read_to_string(&path)
             .ok()
             .and_then(|s| BenchSummary::parse(&s).ok())

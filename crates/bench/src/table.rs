@@ -3,7 +3,30 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// Where every experiment output (CSVs, JSONL exports, the bench
+/// trajectory) goes: `target/experiments` of the workspace the process
+/// *runs* in, as a path relative to the current directory. `cargo bench`
+/// and `cargo test` run from the package directory, hence the walk up; a
+/// binary run from another checkout (an A/B copy, a scratch archive)
+/// writes there and nowhere else.
+pub(crate) fn experiments_dir() -> PathBuf {
+    experiments_dir_from(&std::env::current_dir().unwrap_or_default())
+}
+
+/// [`experiments_dir`] for a process running in `start`, relative to
+/// `start`: under the nearest ancestor holding a `Cargo.lock`, else under
+/// `start` itself.
+fn experiments_dir_from(start: &Path) -> PathBuf {
+    let up = start
+        .ancestors()
+        .position(|dir| dir.join("Cargo.lock").is_file())
+        .unwrap_or(0);
+    let mut dir: PathBuf = std::iter::repeat_n("..", up).collect();
+    dir.extend(["target", "experiments"]);
+    dir
+}
 
 /// A small result table, printed aligned and exportable as CSV.
 ///
@@ -126,7 +149,7 @@ impl Table {
     ///
     /// Propagates filesystem errors.
     pub fn save_csv(&self) -> io::Result<PathBuf> {
-        let dir = PathBuf::from("target/experiments");
+        let dir = experiments_dir();
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.csv", self.name));
         fs::write(&path, self.to_csv())?;
@@ -179,6 +202,29 @@ mod tests {
     fn width_mismatch_panics() {
         let mut t = Table::new("t", &["a"]);
         t.row(["1", "2"]);
+    }
+
+    /// Outputs land in the workspace the process runs in — found from the
+    /// start directory at run time, not from where the crate was compiled.
+    #[test]
+    fn experiments_dir_is_under_the_nearest_workspace_root_above_the_start() {
+        let root = std::env::temp_dir().join(format!("whisper-expdir-{}", std::process::id()));
+        let package = root.join("crates").join("bench");
+        fs::create_dir_all(&package).expect("temp dirs");
+        let out = Path::new("target").join("experiments");
+
+        // no Cargo.lock anywhere above: fall back to the start itself
+        assert_eq!(experiments_dir_from(&package), out);
+        fs::write(root.join("Cargo.lock"), "").expect("temp file");
+        assert_eq!(experiments_dir_from(&root), out);
+        assert_eq!(
+            experiments_dir_from(&package),
+            Path::new("..").join("..").join(&out)
+        );
+        // the nearest lock file wins (a nested workspace of its own)
+        fs::write(package.join("Cargo.lock"), "").expect("temp file");
+        assert_eq!(experiments_dir_from(&package), out);
+        fs::remove_dir_all(&root).expect("cleanup");
     }
 
     #[test]

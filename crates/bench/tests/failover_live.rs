@@ -10,18 +10,11 @@
 
 use std::any::Any;
 
-use whisper::{
-    BPeerConfig, ClientActor, ClientConfigTemplate, GroupSpec, ProxyConfig, ScenarioWiring,
-    ServiceBackend, StudentRegistry, Topology, WhisperMsg, Workload,
-};
-use whisper_bench::cluster::SubstrateProbe;
-use whisper_bench::TcpCluster;
-use whisper_election::BullyConfig;
-use whisper_obs::NodeSnapshot;
-use whisper_simnet::tcpnet::TcpNetBuilder;
-use whisper_simnet::threadnet::ThreadNetBuilder;
-use whisper_simnet::{NodeId, SimDuration, Spawner, Substrate};
-use whisper_xml::Element;
+use whisper::{Booted, ClientActor, ClientConfigTemplate, Poll, ScenarioWiring, Topology};
+use whisper::{WhisperMsg, Workload};
+use whisper_bench::cluster::{student_info, student_registry, student_wiring};
+use whisper_bench::ClusterTuning;
+use whisper_simnet::{NodeId, SimDuration, Substrate};
 
 const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(1000);
 const SETTLE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
@@ -31,43 +24,16 @@ const TOTAL: u64 = 1200;
 
 /// Three replicas with the benchmark's tuning and one open-loop client.
 fn wiring() -> ScenarioWiring {
-    let service = whisper_wsdl::samples::student_management();
-    let op = service
-        .operation("StudentInformation")
-        .expect("sample operation")
-        .clone();
-    let backends: Vec<Box<dyn ServiceBackend>> = (0..3)
-        .map(|_| Box::new(StudentRegistry::operational_db().with_sample_data()) as _)
-        .collect();
-    let mut wiring = ScenarioWiring::bare(
-        service,
-        whisper_ontology::samples::university_ontology(),
-        vec![GroupSpec::from_operation("StudentInfoGroup", &op, backends)],
-    );
-    wiring.bpeer = BPeerConfig {
-        heartbeat_period: SimDuration::from_millis(50),
-        failure_timeout: SimDuration::from_millis(250),
-        bully: BullyConfig {
-            answer_timeout: SimDuration::from_millis(200),
-            coordinator_timeout: SimDuration::from_millis(400),
-            cooldown: SimDuration::from_millis(200),
-        },
-        load_share: true,
-        workers: 2,
-        ..BPeerConfig::default()
-    };
-    wiring.proxy = ProxyConfig {
-        request_timeout: REQUEST_TIMEOUT,
-        ..ProxyConfig::default()
-    };
-    let mut payload = Element::new("StudentInformation");
-    payload.push_child(Element::with_text("StudentID", "u1000"));
+    let mut wiring = student_wiring(3, student_registry, ClusterTuning::default());
+    wiring.bpeer.load_share = true;
+    wiring.bpeer.workers = 2;
+    wiring.proxy.request_timeout = REQUEST_TIMEOUT;
     wiring.clients = vec![ClientConfigTemplate {
         workload: Workload::Open {
             interval: SimDuration::from_millis(5),
             poisson: false,
         },
-        payloads: vec![payload],
+        payloads: vec![student_info("u1000")],
         total: Some(TOTAL),
         timeout: SimDuration::from_secs(30),
         warmup: SimDuration::from_millis(500),
@@ -75,59 +41,49 @@ fn wiring() -> ScenarioWiring {
     wiring
 }
 
-fn wire<S: Spawner<WhisperMsg>>(spawner: &mut S) -> (Topology, SubstrateProbe) {
-    let topology = wiring().wire(spawner).expect("well-formed scenario");
-    let probe = SubstrateProbe::add_to(spawner);
-    (topology, probe)
-}
-
 /// Client requests the proxy has taken in, per its scope snapshot.
-fn requests_seen(snaps: &[(NodeId, NodeSnapshot)]) -> u64 {
+fn requests_seen(snaps: &Poll) -> u64 {
     snaps[0].1.received.sent_of_kind("soap-request")
 }
 
 /// Kills the coordinator once the load flows, restarts it once the proxy
 /// has served a stretch through the successor, and waits for the client's
 /// last answer.
-fn kill_and_restart_under_load<N: Substrate<WhisperMsg>>(
-    net: &mut N,
-    topology: &Topology,
-    probe: &SubstrateProbe,
-) {
-    let group = &topology.group_nodes[0];
+fn kill_and_restart_under_load<N: Substrate<WhisperMsg>>(rig: &mut Booted<N>) {
+    let group = rig.topology.group_nodes[0].clone();
     let (&victim, survivors) = group.split_last().expect("the group has b-peers");
-    let boss = topology.peer_of(victim).value();
-    let service = topology.group_ids[0].value();
-    let proxy = [topology.proxy];
-    let settle = |net: &mut N, what: &str, nodes: &[NodeId], ok: &dyn Fn(&[_]) -> bool| {
+    let boss = rig.topology.peer_of(victim).value();
+    let service = rig.topology.group_ids[0].value();
+    let proxy = [rig.topology.proxy];
+    let settle = |rig: &mut Booted<N>, what: &str, nodes: &[NodeId], ok: &dyn Fn(&Poll) -> bool| {
         assert!(
-            probe.settle(net, nodes, SETTLE_TIMEOUT, ok),
+            rig.settle(nodes, SETTLE_TIMEOUT, ok),
             "{}: never settled: {what}",
-            net.name()
+            rig.net.name()
         );
     };
 
-    settle(net, "boot election", group, &|snaps| {
-        TcpCluster::agreed_coordinator(snaps) == Some(boss)
+    settle(rig, "boot election", &group, &|snaps| {
+        snaps.coordinator() == Some(boss)
     });
-    settle(net, "load flowing through the boss", &proxy, &|snaps| {
+    settle(rig, "load flowing through the boss", &proxy, &|snaps| {
         requests_seen(snaps) >= 100 && snaps[0].1.bindings.contains(&(service, boss))
     });
 
-    net.kill_node(victim);
-    settle(net, "successor elected", survivors, &|snaps| {
-        TcpCluster::agreed_coordinator(snaps).is_some_and(|c| c != boss)
+    rig.net.kill_node(victim);
+    settle(rig, "successor elected", survivors, &|snaps| {
+        snaps.coordinator().is_some_and(|c| c != boss)
     });
-    let at_takeover = requests_seen(&probe.poll(net, &proxy, SimDuration::from_secs(2)));
-    settle(net, "a stretch served by the successor", &proxy, &|snaps| {
+    let at_takeover = requests_seen(&rig.poll(&proxy, SimDuration::from_secs(2)));
+    settle(rig, "a stretch served by the successor", &proxy, &|snaps| {
         requests_seen(snaps) >= at_takeover + 200 && !snaps[0].1.bindings.contains(&(service, boss))
     });
 
-    net.restart_node(victim);
-    settle(net, "the boss bullied back", group, &|snaps| {
-        TcpCluster::agreed_coordinator(snaps) == Some(boss)
+    rig.net.restart_node(victim);
+    settle(rig, "the boss bullied back", &group, &|snaps| {
+        snaps.coordinator() == Some(boss)
     });
-    settle(net, "every request answered", &proxy, &|snaps| {
+    settle(rig, "every request answered", &proxy, &|snaps| {
         snaps[0].1.sent.sent_of_kind("soap-response") >= TOTAL
     });
 }
@@ -164,18 +120,14 @@ fn assert_no_request_waited_out_a_timeout(
 
 #[test]
 fn threadnet_failover_pays_no_request_timeout() {
-    let mut builder = ThreadNetBuilder::new();
-    let (topology, probe) = wire(&mut builder);
-    let mut net = builder.start();
-    kill_and_restart_under_load(&mut net, &topology, &probe);
-    assert_no_request_waited_out_a_timeout("threadnet", &topology, net.shutdown());
+    let mut rig = wiring().boot_threadnet().expect("well-formed scenario");
+    kill_and_restart_under_load(&mut rig);
+    assert_no_request_waited_out_a_timeout("threadnet", &rig.topology, rig.net.shutdown());
 }
 
 #[test]
 fn tcpnet_failover_pays_no_request_timeout() {
-    let mut builder = TcpNetBuilder::new();
-    let (topology, probe) = wire(&mut builder);
-    let mut net = builder.start().expect("loopback sockets");
-    kill_and_restart_under_load(&mut net, &topology, &probe);
-    assert_no_request_waited_out_a_timeout("tcp", &topology, net.shutdown());
+    let mut rig = wiring().boot_tcp().expect("loopback sockets");
+    kill_and_restart_under_load(&mut rig);
+    assert_no_request_waited_out_a_timeout("tcp", &rig.topology, rig.net.shutdown());
 }

@@ -16,14 +16,9 @@
 //! [`Deployment`]: whisper::deploy::Deployment
 //! [`FaultPlan`]: whisper_simnet::FaultPlan
 
-use whisper::deploy::Topology;
-use whisper::WhisperMsg;
-use whisper_bench::cluster::SubstrateProbe;
+use whisper::{Booted, WhisperMsg};
 use whisper_bench::experiments::substrate_matrix::{self, MatrixTuning};
-use whisper_bench::TcpCluster;
-use whisper_obs::AvailabilityLedger;
-use whisper_simnet::threadnet::ThreadNetBuilder;
-use whisper_simnet::{NodeId, SimDuration, SimNet, Substrate, SwitchedLan};
+use whisper_simnet::{NodeId, SimDuration, Substrate};
 
 /// Far beyond any healthy election (sub-second with the matrix tuning);
 /// only a cluster that never settles waits this long.
@@ -33,22 +28,18 @@ const SETTLE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 /// bully its way back — twice, enough for ordering to matter — and
 /// flattens what the ledger recorded into an ordered, timestamp-free
 /// event trace.
-fn outage_trace<N: Substrate<WhisperMsg>>(
-    net: &mut N,
-    topology: &Topology,
-    ledger: &AvailabilityLedger,
-    probe: &SubstrateProbe,
-) -> Vec<String> {
-    let group = &topology.group_nodes[0];
+fn outage_trace<N: Substrate<WhisperMsg>>(rig: &mut Booted<N>) -> Vec<String> {
+    let ledger = rig.ledger.clone().expect("ledger wired");
+    let group = rig.topology.group_nodes[0].clone();
     let (&victim, survivors) = group.split_last().expect("the group has b-peers");
-    let boss = topology.peer_of(victim).value();
-    let service = topology.group_ids[0].value();
+    let boss = rig.topology.peer_of(victim).value();
+    let service = rig.topology.group_ids[0].value();
 
     // Settled: every polled b-peer names one coordinator, it is (or is
     // not) the victim, and the ledger has booked the same view.
-    let settle = |net: &mut N, nodes: &[NodeId], boss_rules: bool| {
-        let settled = probe.settle(net, nodes, SETTLE_TIMEOUT, |snaps| {
-            let agreed = TcpCluster::agreed_coordinator(snaps);
+    let settle = |rig: &mut Booted<N>, nodes: &[NodeId], boss_rules: bool| {
+        let settled = rig.settle(nodes, SETTLE_TIMEOUT, |snaps| {
+            let agreed = snaps.coordinator();
             agreed.is_some_and(|c| (c == boss) == boss_rules)
         });
         assert!(
@@ -64,22 +55,22 @@ fn outage_trace<N: Substrate<WhisperMsg>>(
                 .is_some_and(|r| r.up == boss_rules);
             service_ok && peer_ok
         };
-        let deadline = net.now() + SETTLE_TIMEOUT;
-        while !booked(net.now()) {
-            assert!(net.now() < deadline, "the ledger never caught up");
-            net.advance(SimDuration::from_millis(20));
+        let deadline = rig.net.now() + SETTLE_TIMEOUT;
+        while !booked(rig.net.now()) {
+            assert!(rig.net.now() < deadline, "the ledger never caught up");
+            rig.net.advance(SimDuration::from_millis(20));
         }
     };
 
-    settle(net, group, true);
+    settle(rig, &group, true);
     for _ in 0..2 {
-        net.kill_node(victim);
-        settle(net, survivors, false);
-        net.restart_node(victim);
-        settle(net, group, true);
+        rig.net.kill_node(victim);
+        settle(rig, survivors, false);
+        rig.net.restart_node(victim);
+        settle(rig, &group, true);
     }
 
-    let now = net.now();
+    let now = rig.net.now();
     let mut trace = Vec::new();
     for service in ledger.services() {
         let r = ledger
@@ -113,19 +104,12 @@ fn outage_trace<N: Substrate<WhisperMsg>>(
 fn same_plan_same_outage_story_on_sim_and_threadnet() {
     let dep = substrate_matrix::deployment(&MatrixTuning::default());
 
-    let mut sim: SimNet<WhisperMsg> = SimNet::with_link(5, SwitchedLan::paper_testbed());
-    let (topology, ledger) = dep.wire_onto(&mut sim).expect("well-formed scenario");
-    let probe = SubstrateProbe::add_to(&mut sim);
-    let ledger = ledger.expect("ledger wired");
-    let sim_trace = outage_trace(&mut sim, &topology, &ledger, &probe);
+    let mut sim = dep.boot_sim(5).expect("well-formed scenario");
+    let sim_trace = outage_trace(&mut sim);
 
-    let mut builder = ThreadNetBuilder::new();
-    let (topology, ledger) = dep.wire_onto(&mut builder).expect("well-formed scenario");
-    let probe = SubstrateProbe::add_to(&mut builder);
-    let ledger = ledger.expect("ledger wired");
-    let mut live = builder.start();
-    let live_trace = outage_trace(&mut live, &topology, &ledger, &probe);
-    live.shutdown();
+    let mut live = dep.boot_threadnet().expect("well-formed scenario");
+    let live_trace = outage_trace(&mut live);
+    live.net.shutdown();
 
     // Both clocks must report two closed outages, the victim back in
     // charge, and the victim as the only peer that ever failed.

@@ -5,93 +5,75 @@
 //! the ledger must account the outage, and healing the partition must let
 //! the old coordinator bully its way back.
 
-use std::time::{Duration, Instant};
-
-use whisper_bench::{ClusterTuning, PulseTuning, TcpCluster};
-use whisper_simnet::{SimDuration, SimTime};
-
-/// Polls until `cond` yields `Some`, or panics at the deadline.
-fn wait_for<T>(what: &str, deadline: Duration, mut cond: impl FnMut() -> Option<T>) -> T {
-    let end = Instant::now() + deadline;
-    loop {
-        if let Some(v) = cond() {
-            return v;
-        }
-        assert!(Instant::now() < end, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
+use whisper_bench::cluster::{pulse_scenario, student_info};
+use whisper_bench::{ClusterTuning, PulseTuning};
+use whisper_simnet::SimDuration;
 
 #[test]
 fn partitioned_coordinator_is_replaced_and_requests_rebind() {
     let tuning = ClusterTuning::default();
-    let boot = Instant::now();
-    let cluster =
-        TcpCluster::start_pulse(5, tuning, PulseTuning::default()).expect("loopback sockets");
-    let survivors: Vec<_> = cluster.bpeer_nodes()[..4].to_vec();
-    let coordinator_node = cluster.bpeer_nodes()[4];
+    let mut rig = pulse_scenario(5, tuning, PulseTuning::default())
+        .boot_tcp()
+        .expect("loopback sockets");
+    let bpeers = rig.topology.group_nodes[0].clone();
+    let (&coordinator_node, survivors) = bpeers.split_last().expect("five b-peers");
+    let proxy = rig.topology.proxy;
+    let coordinator = 5;
 
-    // Boot: all five agree on peer 5 (highest id wins the Bully round).
-    let coordinator = wait_for("boot election", Duration::from_secs(15), || {
-        let snaps = cluster.poll_snapshots(cluster.bpeer_nodes(), Duration::from_secs(2));
-        (snaps.len() == 5)
-            .then(|| TcpCluster::agreed_coordinator(&snaps))
-            .flatten()
+    // Boot: all five agree on peer 5 (highest id wins the Bully round),
+    // and every member has received a beacon (in the heartbeat star only
+    // the coordinator beacons to the members), so the outage can be
+    // backdated to a real heartbeat.
+    let booted = rig.settle(&bpeers, SimDuration::from_secs(15), |p| {
+        p.coordinator() == Some(coordinator)
+            && p.iter()
+                .all(|(_, s)| s.received.sent_of_kind("heartbeat") > 0)
     });
-    assert_eq!(coordinator, 5);
+    assert!(booted, "boot election");
 
     // A request through the healthy cluster lands on the coordinator.
-    let first = cluster.submit_student_info("u1000");
-    assert_eq!(cluster.await_responses(1, Duration::from_secs(10)), 1);
-    assert!(cluster.response(first).is_some());
-
-    // Let heartbeats flow so the outage can be backdated to a real beacon.
-    let hb_period = Duration::from_micros(tuning.heartbeat_period.as_micros());
-    std::thread::sleep(hb_period * 6);
+    let first = rig.submit(student_info("u1000"));
+    assert!(rig
+        .await_response(first, SimDuration::from_secs(10))
+        .is_some());
 
     // Partition: the coordinator's process stays up, but every link to
     // the other b-peers and to the proxy is gated shut.
-    for &s in &survivors {
-        cluster.block_link(coordinator_node, s);
+    for &s in survivors {
+        rig.net.block_link(coordinator_node, s);
     }
-    cluster.block_link(coordinator_node, cluster.proxy_node());
+    rig.net.block_link(coordinator_node, proxy);
 
     // The survivors stop hearing peer 5 and elect the next-highest id.
-    let new_coordinator = wait_for("re-election", Duration::from_secs(20), || {
-        let snaps = cluster.poll_snapshots(&survivors, Duration::from_secs(2));
-        (snaps.len() == 4)
-            .then(|| TcpCluster::agreed_coordinator(&snaps))
-            .flatten()
-            .filter(|&c| c != coordinator)
+    let reelected = rig.settle(survivors, SimDuration::from_secs(20), |p| {
+        p.coordinator() == Some(4)
     });
-    assert_eq!(new_coordinator, 4, "next-highest survivor wins");
+    assert!(reelected, "next-highest survivor wins");
 
     // Split brain: the isolated node still answers scope requests (its
-    // link to the probe is untouched) and still believes it coordinates.
-    let snaps = cluster.poll_snapshots(&[coordinator_node], Duration::from_secs(2));
-    assert_eq!(snaps.len(), 1, "the isolated node is alive, not dead");
-    let isolated = &snaps[0].1;
+    // link to the edge is untouched) and still believes it coordinates.
+    let snaps = rig.poll(&[coordinator_node], SimDuration::from_secs(2));
+    assert!(snaps.complete(), "the isolated node is alive, not dead");
     assert_eq!(
-        isolated.election.as_ref().and_then(|e| e.coordinator),
+        snaps.coordinator(),
         Some(5),
-        "the minority side keeps its stale view: {isolated:?}"
+        "the minority side keeps its stale view: {snaps:?}"
     );
 
     // A request submitted into the partition must re-bind to the live
     // side and complete — the proxy cannot reach peer 5 at all.
-    let second = cluster.submit_student_info("u1001");
-    assert_eq!(
-        cluster.await_responses(2, Duration::from_secs(30)),
-        2,
+    let second = rig.submit(student_info("u1001"));
+    assert!(
+        rig.await_response(second, SimDuration::from_secs(30))
+            .is_some(),
         "the proxy re-bound to a live b-peer"
     );
-    assert!(cluster.response(second).is_some());
 
     // The ledger accounted the outage: one closed interval, detection no
     // earlier than the configured silence window, service now led by 4.
-    let now = SimTime::ZERO + SimDuration::from_micros(boot.elapsed().as_micros() as u64);
-    let report = cluster
-        .ledger()
+    let now = rig.net.now();
+    let ledger = rig.ledger.clone().expect("the cluster wires a ledger");
+    let report = ledger
         .service_report(1, now)
         .expect("service timeline exists");
     assert!(report.up, "service recovered on the majority side");
@@ -106,10 +88,7 @@ fn partitioned_coordinator_is_replaced_and_requests_rebind() {
     assert!(report.availability < 1.0);
 
     // The isolated peer's own timeline is down from the survivors' view.
-    let peer = cluster
-        .ledger()
-        .peer_report(5, now)
-        .expect("peer timeline exists");
+    let peer = ledger.peer_report(5, now).expect("peer timeline exists");
     assert!(!peer.up, "the partitioned peer reads as down: {peer:?}");
 
     // Heal the partition and bounce the stale node. Unblocking alone
@@ -117,20 +96,16 @@ fn partitioned_coordinator_is_replaced_and_requests_rebind() {
     // coordinator claims — so the operator's move is a restart: the node
     // comes back with fresh election state and, having the highest id,
     // bullies its way back to coordinator over re-dialed sockets.
-    for &s in &survivors {
-        cluster.unblock_link(coordinator_node, s);
+    for &s in survivors {
+        rig.net.unblock_link(coordinator_node, s);
     }
-    cluster.unblock_link(coordinator_node, cluster.proxy_node());
-    cluster.kill_node(coordinator_node);
-    cluster.restart_node(coordinator_node);
-    let healed = wait_for("post-heal election", Duration::from_secs(20), || {
-        let snaps = cluster.poll_snapshots(cluster.bpeer_nodes(), Duration::from_secs(2));
-        (snaps.len() == 5)
-            .then(|| TcpCluster::agreed_coordinator(&snaps))
-            .flatten()
-            .filter(|&c| c == 5)
+    rig.net.unblock_link(coordinator_node, proxy);
+    rig.net.kill_node(coordinator_node);
+    rig.net.restart_node(coordinator_node);
+    let healed = rig.settle(&bpeers, SimDuration::from_secs(20), |p| {
+        p.coordinator() == Some(5)
     });
-    assert_eq!(healed, 5, "highest id reclaims the group after the heal");
+    assert!(healed, "highest id reclaims the group after the heal");
 
-    cluster.shutdown();
+    rig.net.shutdown();
 }

@@ -10,7 +10,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use whisper_bench::{exporter, ClusterTuning, PulseTuning, TcpCluster};
+use whisper_bench::cluster::{pulse_scenario, student_info, transcript};
+use whisper_bench::{exporter, ClusterTuning, PulseTuning};
 use whisper_simnet::SimDuration;
 use whisper_soap::Envelope;
 
@@ -57,42 +58,38 @@ fn slow_request_is_tail_captured_and_exposed() {
         slow_processing: SimDuration::from_micros(SLOW_US),
         ..PulseTuning::default()
     };
-    let cluster =
-        TcpCluster::start_pulse(3, ClusterTuning::default(), pulse).expect("loopback sockets");
+    let mut rig = pulse_scenario(3, ClusterTuning::default(), pulse)
+        .boot_tcp()
+        .expect("loopback sockets");
+    let answer_within = SimDuration::from_secs(10);
 
     // Boot: the fast group elects before traffic starts.
-    wait_for("boot election", Duration::from_secs(15), || {
-        let snaps = cluster.poll_snapshots(cluster.bpeer_nodes(), Duration::from_secs(2));
-        (snaps.len() == 3)
-            .then(|| TcpCluster::agreed_coordinator(&snaps))
-            .flatten()
-    });
+    assert!(
+        rig.await_election(0, SimDuration::from_secs(15)),
+        "boot election"
+    );
 
     // Warm phase: enough fast requests that the tail sampler's p99
     // threshold is trusted (and frozen well below the injected latency).
     // Closed-loop pacing — await each response — so fast requests measure
     // service time, not the queueing of a single burst.
     for i in 0..FAST_REQUESTS {
-        cluster.submit_student_info(&format!("u100{}", i % 8));
-        let got = cluster.await_responses(i + 1, Duration::from_secs(10));
-        assert_eq!(got, i + 1, "fast request {i} answered");
+        let id = rig.submit(student_info(&format!("u100{}", i % 8)));
+        let answer = rig.await_response(id, answer_within);
+        assert!(answer.is_some(), "fast request {i} answered");
     }
 
     // The injected tail: requests served by the 40 ms transcript replica.
-    let slow_ids: Vec<u64> = (0..SLOW_REQUESTS)
-        .map(|i| {
-            let id = cluster.submit_transcript("u1004");
-            let got = cluster.await_responses(FAST_REQUESTS + i + 1, Duration::from_secs(10));
-            assert_eq!(got, FAST_REQUESTS + i + 1, "slow request {i} answered");
-            id
-        })
-        .collect();
-    for id in &slow_ids {
-        let envelope = cluster.response(*id).expect("transcript response arrived");
-        let parsed = Envelope::parse(&envelope).expect("well-formed envelope");
+    for i in 0..SLOW_REQUESTS {
+        let id = rig.submit(transcript("u1004"));
+        let answer = rig
+            .await_response(id, answer_within)
+            .unwrap_or_else(|| panic!("slow request {i} answered"));
+        let parsed = Envelope::parse(&answer.envelope).expect("well-formed envelope");
         assert!(
             !parsed.is_fault(),
-            "transcript served, not faulted: {envelope}"
+            "transcript served, not faulted: {}",
+            answer.envelope
         );
     }
 
@@ -103,8 +100,7 @@ fn slow_request_is_tail_captured_and_exposed() {
     // heavily loaded machine the original burst may land in windows too
     // sparse to warm it. Trickling fast requests plus a transcript each
     // round guarantees a warm window eventually coincides with a tail.
-    let store = cluster.pulse_store().clone();
-    let mut total = FAST_REQUESTS + SLOW_REQUESTS;
+    let store = rig.pulse_store.clone().expect("the pulse plane is wired");
     let trace = wait_for("captured transcript trace", Duration::from_secs(30), || {
         {
             let guard = store.lock().unwrap_or_else(|e| e.into_inner());
@@ -117,13 +113,11 @@ fn slow_request_is_tail_captured_and_exposed() {
             }
         }
         for i in 0..8 {
-            cluster.submit_student_info(&format!("u100{i}"));
-            total += 1;
-            cluster.await_responses(total, Duration::from_secs(10));
+            let id = rig.submit(student_info(&format!("u100{i}")));
+            rig.await_response(id, answer_within);
         }
-        cluster.submit_transcript("u1004");
-        total += 1;
-        cluster.await_responses(total, Duration::from_secs(10));
+        let id = rig.submit(transcript("u1004"));
+        rig.await_response(id, answer_within);
         None
     });
     assert!(
@@ -202,5 +196,5 @@ fn slow_request_is_tail_captured_and_exposed() {
     );
     series_value(&body, "whisper_pulse_frames_ingested_total ");
     exporter.stop();
-    cluster.shutdown();
+    rig.net.shutdown();
 }

@@ -3,67 +3,58 @@
 //! online record is checked against the independently measured
 //! re-election window — the acceptance test for the whisper-scope plane.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use whisper_bench::{ClusterTuning, TcpCluster};
-use whisper_simnet::{SimDuration, SimTime};
-
-/// Polls until `cond` yields `Some`, or panics at the deadline.
-fn wait_for<T>(what: &str, deadline: Duration, mut cond: impl FnMut() -> Option<T>) -> T {
-    let end = Instant::now() + deadline;
-    loop {
-        if let Some(v) = cond() {
-            return v;
-        }
-        assert!(Instant::now() < end, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
+use whisper_bench::cluster::cluster_scenario;
+use whisper_bench::ClusterTuning;
+use whisper_simnet::SimDuration;
 
 #[test]
 fn coordinator_kill_is_ledgered_with_measured_mttr() {
     let tuning = ClusterTuning::default();
-    let boot = Instant::now();
-    let cluster = TcpCluster::start(5, tuning).expect("loopback sockets");
-    let survivors: Vec<_> = cluster.bpeer_nodes()[..4].to_vec();
-    let coordinator_node = cluster.bpeer_nodes()[4];
+    let mut rig = cluster_scenario(5, tuning)
+        .boot_tcp()
+        .expect("loopback sockets");
+    let bpeers = rig.topology.group_nodes[0].clone();
+    let (&coordinator_node, survivors) = bpeers.split_last().expect("five b-peers");
+    let coordinator = 5;
 
-    // Boot: all five agree on peer 5 (highest id wins the Bully round).
-    let coordinator = wait_for("boot election", Duration::from_secs(15), || {
-        let snaps = cluster.poll_snapshots(cluster.bpeer_nodes(), Duration::from_secs(2));
-        (snaps.len() == 5)
-            .then(|| TcpCluster::agreed_coordinator(&snaps))
-            .flatten()
+    // Boot: all five agree on peer 5 (highest id wins the Bully round),
+    // and every member has received a beacon (in the heartbeat star only
+    // the coordinator beacons to the members), so the outage can be
+    // backdated to a real heartbeat.
+    let booted = rig.settle(&bpeers, SimDuration::from_secs(15), |p| {
+        p.coordinator() == Some(coordinator)
+            && p.iter()
+                .all(|(_, s)| s.received.sent_of_kind("heartbeat") > 0)
     });
-    assert_eq!(coordinator, 5);
-    // Let heartbeats flow so the outage can be backdated to a real beacon.
-    let hb_period = Duration::from_micros(tuning.heartbeat_period.as_micros());
-    std::thread::sleep(hb_period * 6);
+    assert!(booted, "boot election");
 
     // Kill the coordinator and measure the re-election window ourselves:
     // kill → every survivor names the same new coordinator.
-    let killed_at = Instant::now();
-    cluster.kill_node(coordinator_node);
-    let new_coordinator = wait_for("re-election", Duration::from_secs(20), || {
-        let snaps = cluster.poll_snapshots(&survivors, Duration::from_secs(2));
-        (snaps.len() == 4)
-            .then(|| TcpCluster::agreed_coordinator(&snaps))
-            .flatten()
-            .filter(|&c| c != coordinator)
+    let killed_at = rig.net.now();
+    rig.net.kill_node(coordinator_node);
+    let reelected = rig.settle(survivors, SimDuration::from_secs(20), |p| {
+        p.coordinator().is_some_and(|c| c != coordinator)
     });
-    let measured_window = killed_at.elapsed();
-    assert_eq!(new_coordinator, 4, "next-highest survivor wins");
+    assert!(reelected, "re-election");
+    let measured_window = Duration::from_micros(rig.net.now().since(killed_at).as_micros());
+    let again = rig.poll(survivors, SimDuration::from_secs(2));
+    assert_eq!(again.coordinator(), Some(4), "next-highest survivor wins");
 
     // The dead node no longer answers scope requests; the others do.
-    let snaps = cluster.poll_all(Duration::from_secs(2));
+    let mut all = bpeers.clone();
+    all.push(rig.topology.proxy);
+    let snaps = rig.poll(&all, SimDuration::from_secs(2));
     assert_eq!(snaps.len(), 5, "all nodes but the corpse answer");
     assert!(snaps.iter().all(|(n, _)| *n != coordinator_node));
+    assert_eq!(snaps.coordinator(), None, "a silent target is no agreement");
 
-    // What the ledger recorded, read at "now" (wall time since boot —
-    // tcpnet actors stamp SimTime from the same epoch).
-    let now = SimTime::ZERO + SimDuration::from_micros(boot.elapsed().as_micros() as u64);
-    let report = cluster
-        .ledger()
+    // What the ledger recorded, read at "now" on the substrate's clock
+    // (tcpnet actors stamp SimTime from the same epoch).
+    let now = rig.net.now();
+    let ledger = rig.ledger.clone().expect("the cluster wires a ledger");
+    let report = ledger
         .service_report(1, now)
         .expect("service timeline exists");
     assert!(report.up, "service recovered");
@@ -87,6 +78,7 @@ fn coordinator_kill_is_ledgered_with_measured_mttr() {
     // heartbeat period; our observation of the agreement lags by polling
     // jitter. Allow one period plus scheduling slack.
     let mttr = Duration::from_micros(mttr.as_micros());
+    let hb_period = Duration::from_micros(tuning.heartbeat_period.as_micros());
     let tolerance = hb_period + Duration::from_millis(150);
     let diff = mttr.abs_diff(measured_window);
     assert!(
@@ -95,11 +87,10 @@ fn coordinator_kill_is_ledgered_with_measured_mttr() {
     );
 
     // The killed peer's own timeline went down and stayed down.
-    let peer = cluster
-        .ledger()
+    let peer = ledger
         .peer_report(coordinator, now)
         .expect("peer timeline exists");
     assert!(!peer.up, "the corpse stays down: {peer:?}");
 
-    cluster.shutdown();
+    rig.net.shutdown();
 }

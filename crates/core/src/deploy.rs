@@ -9,6 +9,12 @@
 //! [collector?]`, peer id = node index + 1), so the [`Topology`] it
 //! returns means the same thing on every substrate.
 //!
+//! [`ScenarioWiring::boot`] is the one boot body — wire, append the edge
+//! node, start — and [`Booted`] is what it returns: the one cluster facade
+//! (transport, topology, observability handles, and the edge's
+//! poll / settle / submit / response surface) every harness drives, on
+//! every substrate.
+//!
 //! [`Deployment`] is the reusable form: instead of boxed backends it holds
 //! backend *factories*, so the same description can be booted repeatedly —
 //! [`Deployment::boot_sim`], [`Deployment::boot_threadnet`] and
@@ -18,7 +24,6 @@
 //! advance) therefore runs unmodified on all three runtimes, which is what
 //! makes per-substrate availability/MTTR numbers comparable.
 //!
-//! [`Substrate`]: whisper_simnet::Substrate
 //! [`FaultPlan`]: whisper_simnet::FaultPlan
 
 use std::sync::Arc;
@@ -27,6 +32,7 @@ use crate::backend::{ServiceBackend, StudentRegistry};
 use crate::bpeer::{BPeerActor, BPeerConfig};
 use crate::client::{ClientActor, ClientConfig};
 use crate::directory::Directory;
+use crate::edge::{Answer, Edge, Poll};
 use crate::harness::{ClientConfigTemplate, GroupSpec};
 use crate::msg::WhisperMsg;
 use crate::proxy::{ProxyConfig, SwsProxyActor};
@@ -40,9 +46,12 @@ use whisper_p2p::{DiscoveryService, DiscoveryStrategy, GroupId, P2pMessage, Peer
 use whisper_simnet::tcpnet::{TcpNet, TcpNetBuilder};
 use whisper_simnet::threadnet::{ThreadNet, ThreadNetBuilder};
 use whisper_simnet::{
-    Actor, Context, Metrics, NodeId, SimDuration, SimNet, Spawner, SwitchedLan, Wire,
+    Actor, Context, Metrics, NodeId, SimDuration, SimNet, SimTime, Spawner, Substrate, SwitchedLan,
+    Wire,
 };
+use whisper_soap::Envelope;
 use whisper_wsdl::ServiceDescription;
+use whisper_xml::Element;
 
 /// A minimal rendezvous peer: caches publications, answers queries.
 pub(crate) struct RendezvousActor {
@@ -623,20 +632,256 @@ pub struct Deployment {
     pub with_flight: bool,
 }
 
-/// A freshly booted deployment: the transport (any [`Substrate`]), where
-/// the actors landed, and the observability handles wired at boot.
+/// A freshly booted deployment on any [`Substrate`] — the one cluster
+/// facade every harness drives: the transport, where the actors landed,
+/// the observability handles the wiring carried, and the edge node's
+/// surface ([`Booted::poll`], [`Booted::settle`], [`Booted::submit`],
+/// [`Booted::response`]), all paced by [`Substrate::now`] /
+/// [`Substrate::advance`] so the same line waits in virtual time on the
+/// simulator and on the wall on the live runtimes.
+///
+/// Faults go through the transport itself (`booted.net.kill_node(..)`,
+/// `booted.net.execute_plan(..)`): the facade adds what `Substrate` does
+/// not have, it does not re-export what it has.
+///
+/// # Examples
+///
+/// ```
+/// use whisper::deploy::Deployment;
+/// use whisper_simnet::{SimDuration, Substrate};
+/// use whisper_xml::Element;
+///
+/// let mut rig = Deployment::student(3).boot_sim(42).expect("well-formed");
+/// let group = rig.topology.group_nodes[0].clone();
+/// let timeout = SimDuration::from_secs(10);
+/// // wait until the cluster says it has elected, not for a horizon
+/// assert!(rig.settle(&group, timeout, |poll| poll.coordinator() == Some(3)));
+///
+/// let mut payload = Element::new("StudentInformation");
+/// payload.push_child(Element::with_text("StudentID", "u1001"));
+/// let id = rig.submit(payload);
+/// rig.net.kill_node(group[2]); // the coordinator, mid-request
+/// let answer = rig.await_response(id, timeout).expect("failed over");
+/// assert_eq!(answer.copies, 1);
+/// ```
 ///
 /// [`Substrate`]: whisper_simnet::Substrate
+/// [`Substrate::now`]: whisper_simnet::Substrate::now
+/// [`Substrate::advance`]: whisper_simnet::Substrate::advance
 pub struct Booted<N> {
     /// The running (or, for the simulator, runnable) network.
     pub net: N,
-    /// Where the scenario's actors landed.
+    /// Where the scenario's actors landed. The edge node sits behind them,
+    /// at index `topology.node_count`.
     pub topology: Topology,
-    /// The availability ledger, when the deployment asked for one.
+    /// The availability ledger, when the wiring carried one.
     pub ledger: Option<AvailabilityLedger>,
-    /// The flight-recorder plane, when the deployment asked for one
-    /// (shared with `topology.flight`; handles are reference-counted).
-    pub flight: Option<FlightPlane>,
+    /// The trace recorder, when the wiring carried one.
+    pub recorder: Option<Recorder>,
+    /// The pulse collector's store, when the wiring carried a pulse plane.
+    pub pulse_store: Option<SharedPulseStore>,
+    edge: Edge,
+}
+
+/// How long the edge lets the substrate run between two looks at its store.
+const PACE: SimDuration = SimDuration::from_millis(2);
+
+/// How long one poll inside [`Booted::settle`] waits for its targets.
+const SETTLE_POLL: SimDuration = SimDuration::from_secs(2);
+
+/// The pause between two polls of [`Booted::settle`].
+const SETTLE_PAUSE: SimDuration = SimDuration::from_millis(20);
+
+impl<N: Substrate<WhisperMsg>> Booted<N> {
+    /// The edge node: where polls and submitted requests come from.
+    pub fn edge_node(&self) -> NodeId {
+        self.edge.node()
+    }
+
+    /// Lets the substrate run in [`PACE`] steps until `look` finds what it
+    /// is waiting for in the edge's store, or `deadline` passes.
+    fn pace_until<T>(&mut self, deadline: SimTime, look: impl Fn(&Edge) -> Option<T>) -> Option<T> {
+        loop {
+            let found = look(&self.edge);
+            if found.is_some() || self.net.now() >= deadline {
+                return found;
+            }
+            self.net.advance(PACE);
+        }
+    }
+
+    /// One scope poll: sends a [`WhisperMsg::ScopeRequest`] to every target
+    /// and waits up to `timeout` for the snapshots. A killed target never
+    /// answers; the returned [`Poll`] knows it is incomplete. The poll is
+    /// retired on return — a snapshot that lands later is counted in
+    /// [`Booted::late_arrivals`] and dropped.
+    pub fn poll(&mut self, targets: &[NodeId], timeout: SimDuration) -> Poll {
+        let request_id = self.edge.open_poll();
+        for &t in targets {
+            self.net
+                .inject(self.edge.node(), t, WhisperMsg::ScopeRequest { request_id });
+        }
+        let deadline = self.net.now() + timeout;
+        self.pace_until(deadline, |edge| {
+            (edge.poll_len() >= targets.len()).then_some(())
+        });
+        self.edge.close_poll(targets.len())
+    }
+
+    /// Polls `targets` until every one of them answers and `settled`
+    /// accepts the poll; `false` when `timeout` ran out first. This is how
+    /// a harness waits for the cluster to *say* something has taken effect
+    /// instead of sleeping for a horizon it hopes is long enough.
+    pub fn settle(
+        &mut self,
+        targets: &[NodeId],
+        timeout: SimDuration,
+        mut settled: impl FnMut(&Poll) -> bool,
+    ) -> bool {
+        let deadline = self.net.now() + timeout;
+        loop {
+            let poll = self.poll(targets, SETTLE_POLL);
+            if poll.complete() && settled(&poll) {
+                return true;
+            }
+            if self.net.now() >= deadline {
+                return false;
+            }
+            self.net.advance(SETTLE_PAUSE);
+        }
+    }
+
+    /// [`Booted::settle`] for the commonest wait, the boot election: every
+    /// member of group `gi` answers and all name the same coordinator.
+    pub fn await_election(&mut self, gi: usize, timeout: SimDuration) -> bool {
+        let members = self.topology.group_nodes[gi].clone();
+        self.settle(&members, timeout, |poll| poll.coordinator().is_some())
+    }
+
+    /// Injects `payload` as a SOAP request from the edge to the proxy and
+    /// returns its request id.
+    pub fn submit(&mut self, payload: Element) -> u64 {
+        self.submit_envelope(Envelope::request(payload).to_xml_string())
+    }
+
+    /// [`Booted::submit`] for an envelope serialized by the caller (load
+    /// generators serialize once per run).
+    pub fn submit_envelope(&mut self, envelope: String) -> u64 {
+        let request_id = self.edge.expect_answer();
+        self.net.inject(
+            self.edge.node(),
+            self.topology.proxy,
+            WhisperMsg::SoapRequest {
+                request_id,
+                envelope,
+            },
+        );
+        request_id
+    }
+
+    /// Hands over the answer to `request_id` when it has arrived: the edge
+    /// forgets it, and a copy arriving later counts as a late arrival.
+    pub fn response(&mut self, request_id: u64) -> Option<Answer> {
+        self.edge.take_answer(request_id)
+    }
+
+    /// Waits up to `timeout` for the answer to `request_id` and hands it
+    /// over.
+    pub fn await_response(&mut self, request_id: u64, timeout: SimDuration) -> Option<Answer> {
+        let deadline = self.net.now() + timeout;
+        self.pace_until(deadline, |edge| edge.take_answer(request_id))
+    }
+
+    /// Distinct submitted requests answered so far.
+    pub fn answered(&self) -> u64 {
+        self.edge.answered()
+    }
+
+    /// Waits until `n` distinct requests are answered or `timeout` passes;
+    /// returns whether they were.
+    pub fn await_answered(&mut self, n: u64, timeout: SimDuration) -> bool {
+        let deadline = self.net.now() + timeout;
+        self.pace_until(deadline, |edge| (edge.answered() >= n).then_some(()))
+            .is_some()
+    }
+
+    /// Arrivals the edge dropped because nobody was waiting any more:
+    /// snapshots of a retired poll, copies of a response already read.
+    pub fn late_arrivals(&self) -> u64 {
+        self.edge.late()
+    }
+
+    /// Stops waiting for every unanswered request and drops every unread
+    /// answer, so a measurement can start from zero; stragglers count as
+    /// late arrivals.
+    pub fn forget_requests(&mut self) {
+        self.edge.forget();
+    }
+}
+
+impl ScenarioWiring {
+    /// The one boot body: wires the scenario onto `spawner`, appends the
+    /// edge node behind it, and turns the spawner into the running network
+    /// with `start` — `Ok` for the simulator, the builders' `start` for the
+    /// live runtimes.
+    ///
+    /// The edge is appended here and not by [`ScenarioWiring::wire`], so
+    /// `wire` places exactly the scenario and every scenario node id means
+    /// the same with or without a harness attached.
+    ///
+    /// # Errors
+    ///
+    /// See [`ScenarioWiring::wire`]; additionally [`WhisperError::Io`] for
+    /// whatever `start` reports (socket errors on TCP).
+    pub fn boot<S: Spawner<WhisperMsg>, N>(
+        self,
+        mut spawner: S,
+        start: impl FnOnce(S) -> std::io::Result<N>,
+    ) -> Result<Booted<N>, WhisperError> {
+        let ledger = self.ledger.clone();
+        let recorder = self.recorder.clone();
+        let pulse_store = self.pulse.as_ref().map(|p| p.store.clone());
+        let topology = self.wire(&mut spawner)?;
+        let edge = Edge::add_to(&mut spawner);
+        Ok(Booted {
+            net: start(spawner)?,
+            topology,
+            ledger,
+            recorder,
+            pulse_store,
+            edge,
+        })
+    }
+
+    /// [`ScenarioWiring::boot`] on the deterministic simulator
+    /// (paper-testbed link model).
+    ///
+    /// # Errors
+    ///
+    /// See [`ScenarioWiring::wire`].
+    pub fn boot_sim(self, seed: u64) -> Result<Booted<SimNet<WhisperMsg>>, WhisperError> {
+        self.boot(SimNet::with_link(seed, SwitchedLan::paper_testbed()), Ok)
+    }
+
+    /// [`ScenarioWiring::boot`] on OS threads and channels (wall clock).
+    ///
+    /// # Errors
+    ///
+    /// See [`ScenarioWiring::wire`].
+    pub fn boot_threadnet(self) -> Result<Booted<ThreadNet<WhisperMsg>>, WhisperError> {
+        self.boot(ThreadNetBuilder::new(), |b| Ok(b.start()))
+    }
+
+    /// [`ScenarioWiring::boot`] on real TCP loopback sockets (wall clock,
+    /// every message encoded to bytes and framed).
+    ///
+    /// # Errors
+    ///
+    /// See [`ScenarioWiring::wire`]; additionally [`WhisperError::Io`] for
+    /// socket errors while opening the loopback mesh.
+    pub fn boot_tcp(self) -> Result<Booted<TcpNet<WhisperMsg>>, WhisperError> {
+        self.boot(TcpNetBuilder::new(), TcpNetBuilder::start)
+    }
 }
 
 impl Deployment {
@@ -668,7 +913,7 @@ impl Deployment {
     }
 
     /// Materializes one boot's wiring (fresh backends, fresh ledger).
-    fn wiring(&self) -> Result<(ScenarioWiring, Option<AvailabilityLedger>), WhisperError> {
+    fn wiring(&self) -> Result<ScenarioWiring, WhisperError> {
         let mut groups = Vec::with_capacity(self.groups.len());
         for b in &self.groups {
             if b.replicas == 0 {
@@ -684,8 +929,7 @@ impl Deployment {
             spec.processing_time = b.processing_time;
             groups.push(spec);
         }
-        let ledger = self.with_ledger.then(AvailabilityLedger::default);
-        let wiring = ScenarioWiring {
+        Ok(ScenarioWiring {
             service: self.service.clone(),
             ontology: self.ontology.clone(),
             groups,
@@ -694,47 +938,12 @@ impl Deployment {
             bpeer: self.bpeer.clone(),
             proxy: self.proxy.clone(),
             clients: self.clients.clone(),
-            ledger: ledger.clone(),
+            ledger: self.with_ledger.then(AvailabilityLedger::default),
             recorder: None,
             pulse: None,
             flight: self
                 .with_flight
                 .then_some(whisper_obs::flight::DEFAULT_RING_BYTES),
-        };
-        Ok((wiring, ledger))
-    }
-
-    /// Places one boot's worth of the scenario (fresh backends, fresh
-    /// ledger) onto `spawner` without starting it — what the `boot_*`
-    /// methods do before they start the transport, for harnesses that add
-    /// measuring nodes of their own (a scope probe, a load generator)
-    /// behind the scenario's.
-    ///
-    /// # Errors
-    ///
-    /// See [`ScenarioWiring::wire`].
-    pub fn wire_onto<S: Spawner<WhisperMsg>>(
-        &self,
-        spawner: &mut S,
-    ) -> Result<(Topology, Option<AvailabilityLedger>), WhisperError> {
-        let (wiring, ledger) = self.wiring()?;
-        Ok((wiring.wire(spawner)?, ledger))
-    }
-
-    /// Wires the deployment onto `spawner` and turns it into the running
-    /// network with `start` — the one body of the three boots below.
-    fn boot_on<S: Spawner<WhisperMsg>, N>(
-        &self,
-        mut spawner: S,
-        start: impl FnOnce(S) -> std::io::Result<N>,
-    ) -> Result<Booted<N>, WhisperError> {
-        let (topology, ledger) = self.wire_onto(&mut spawner)?;
-        let flight = topology.flight.clone();
-        Ok(Booted {
-            net: start(spawner)?,
-            topology,
-            ledger,
-            flight,
         })
     }
 
@@ -744,7 +953,7 @@ impl Deployment {
     ///
     /// See [`ScenarioWiring::wire`].
     pub fn boot_sim(&self, seed: u64) -> Result<Booted<SimNet<WhisperMsg>>, WhisperError> {
-        self.boot_on(SimNet::with_link(seed, SwitchedLan::paper_testbed()), Ok)
+        self.wiring()?.boot_sim(seed)
     }
 
     /// Boots on OS threads and crossbeam channels (wall-clock time).
@@ -753,7 +962,7 @@ impl Deployment {
     ///
     /// See [`ScenarioWiring::wire`].
     pub fn boot_threadnet(&self) -> Result<Booted<ThreadNet<WhisperMsg>>, WhisperError> {
-        self.boot_on(ThreadNetBuilder::new(), |b| Ok(b.start()))
+        self.wiring()?.boot_threadnet()
     }
 
     /// Boots on real TCP loopback sockets (wall-clock time, every message
@@ -764,14 +973,14 @@ impl Deployment {
     /// See [`ScenarioWiring::wire`]; additionally [`WhisperError::Io`] for
     /// socket errors while opening the loopback mesh.
     pub fn boot_tcp(&self) -> Result<Booted<TcpNet<WhisperMsg>>, WhisperError> {
-        self.boot_on(TcpNetBuilder::new(), TcpNetBuilder::start)
+        self.wiring()?.boot_tcp()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whisper_simnet::Substrate;
+    use whisper_simnet::FaultAction;
 
     /// The same deployment wires to the same topology on every substrate.
     #[test]
@@ -809,7 +1018,11 @@ mod tests {
     fn booted_flight_plane_records_a_causal_timeline() {
         let dep = Deployment::student(3);
         let mut booted = dep.boot_sim(11).expect("sim boots");
-        let flight = booted.flight.clone().expect("student() wires flight");
+        let flight = booted
+            .topology
+            .flight
+            .clone()
+            .expect("student() wires flight");
         assert_eq!(flight.handles().len(), booted.topology.node_count);
         Substrate::advance(&mut booted.net, SimDuration::from_secs(3));
         let timeline = flight.capture();
@@ -823,6 +1036,61 @@ mod tests {
             )
         });
         assert!(elected, "election milestone recorded");
+    }
+
+    /// The edge keeps nothing past its reader: a poll that timed out is
+    /// retired, so the snapshot a stalled node sends after the deadline is
+    /// counted and dropped instead of re-creating the poll's entry.
+    #[test]
+    fn late_snapshot_is_dropped_and_the_store_stays_empty() {
+        let mut booted = Deployment::student(3).boot_sim(5).expect("sim boots");
+        let group = booted.topology.group_nodes[0].clone();
+        assert!(booted.await_election(0, SimDuration::from_secs(30)));
+        assert_eq!((booted.edge.held(), booted.late_arrivals()), (0, 0));
+
+        let stalled = group[0];
+        let stall = SimDuration::from_millis(200);
+        booted.net.apply_action(FaultAction::Stall(stalled, stall));
+        let poll = booted.poll(&group, SimDuration::from_millis(50));
+        assert_eq!(poll.len(), 2, "the stalled node's answer is held back");
+        assert!(poll.iter().all(|(n, _)| *n != stalled));
+        assert_eq!(poll.coordinator(), None, "a silent target is no agreement");
+
+        booted.net.advance(stall + stall);
+        assert_eq!(booted.late_arrivals(), 1, "the held-back answer landed");
+        assert_eq!(booted.edge.held(), 0, "and re-created nothing");
+    }
+
+    /// A response is handed over on read, once; copies that arrive before
+    /// the read are counted on it, copies after it are late arrivals.
+    #[test]
+    fn response_is_handed_over_once_with_its_copies_counted() {
+        let mut booted = Deployment::student(3).boot_sim(9).expect("sim boots");
+        let timeout = SimDuration::from_secs(30);
+        assert!(booted.await_election(0, timeout));
+
+        let mut payload = Element::new("StudentInformation");
+        payload.push_child(Element::with_text("StudentID", "u1000"));
+        let id = booted.submit(payload);
+        assert!(booted.await_answered(1, timeout));
+        let (edge, proxy) = (booted.edge_node(), booted.topology.proxy);
+        let copy = |envelope: &str| WhisperMsg::SoapResponse {
+            request_id: id,
+            envelope: envelope.to_string(),
+        };
+        booted.net.inject(proxy, edge, copy("<copy/>"));
+        booted.net.advance(SimDuration::from_millis(10));
+
+        let answer = booted.response(id).expect("answered");
+        assert_eq!(answer.copies, 2);
+        assert!(answer.envelope.contains("u1000"), "{}", answer.envelope);
+        assert_eq!(booted.response(id), None, "handed over, not cloned");
+        assert_eq!(booted.edge.held(), 0);
+
+        booted.net.inject(proxy, edge, copy("<copy/>"));
+        booted.net.advance(SimDuration::from_millis(10));
+        assert_eq!((booted.answered(), booted.late_arrivals()), (1, 1));
+        assert_eq!(booted.edge.held(), 0);
     }
 
     #[test]

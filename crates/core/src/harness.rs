@@ -7,7 +7,7 @@
 use crate::backend::{ServiceBackend, StudentRegistry};
 use crate::bpeer::{BPeerActor, BPeerConfig};
 use crate::client::{ClientActor, ClientStats};
-use crate::deploy::{RendezvousActor, ScenarioWiring};
+use crate::deploy::{RendezvousActor, ScenarioWiring, Topology};
 use crate::directory::Directory;
 use crate::msg::WhisperMsg;
 use crate::proxy::{ProxyConfig, ProxyStats, SwsProxyActor};
@@ -15,7 +15,7 @@ use crate::pulse::{self, PulseCollectorActor, PulseConfig, SharedPulseStore};
 use crate::WhisperError;
 use whisper_obs::{AvailabilityLedger, NodeSnapshot, Recorder};
 use whisper_ontology::Ontology;
-use whisper_p2p::{DiscoveryStrategy, GroupId, PeerId, QosSpec, SemanticAdv};
+use whisper_p2p::{GroupId, PeerId, QosSpec};
 use whisper_simnet::{FaultPlan, Metrics, NodeId, SimDuration, SimNet, SimTime, SwitchedLan};
 use whisper_soap::Envelope;
 use whisper_wsdl::{Operation, ServiceDescription};
@@ -152,16 +152,10 @@ impl Default for DeploymentConfig {
 /// See the crate docs for a quickstart.
 pub struct WhisperNet {
     net: SimNet<WhisperMsg>,
-    directory: Directory,
-    rendezvous_node: Option<NodeId>,
-    group_nodes: Vec<Vec<NodeId>>,
-    group_ids: Vec<GroupId>,
-    group_advs: Vec<SemanticAdv>,
-    proxy_node: NodeId,
-    client_nodes: Vec<NodeId>,
-    strategy: DiscoveryStrategy,
+    /// Where the wiring pass put everything; `enable_pulse` and
+    /// `add_bpeer` keep it current.
+    topology: Topology,
     bpeer_cfg: BPeerConfig,
-    next_node_index: usize,
     obs: Option<Recorder>,
     ledger: Option<AvailabilityLedger>,
     pulse: Option<(SharedPulseStore, NodeId, SimDuration)>,
@@ -193,7 +187,7 @@ impl WhisperNet {
             flight: None,
         };
         let mut net: SimNet<WhisperMsg> = SimNet::with_link(cfg.seed, cfg.link);
-        let topo = wiring.wire(&mut net)?;
+        let topology = wiring.wire(&mut net)?;
 
         // Enforce the firewall on the wire: block every direct link that a
         // NATed b-peer must not use, leaving only b-peer↔rendezvous. Any
@@ -202,11 +196,11 @@ impl WhisperNet {
         // directory routes come from the wiring pass; the wire-level
         // blocks are a simulator capability, so they live here.
         if firewall_bpeers {
-            let all_bpeers = topo.all_bpeers();
+            let all_bpeers = topology.all_bpeers();
             let mut plan = FaultPlan::new();
             for (i, &a) in all_bpeers.iter().enumerate() {
-                plan.block_at(a, topo.proxy, SimTime::ZERO);
-                for &c in &topo.clients {
+                plan.block_at(a, topology.proxy, SimTime::ZERO);
+                for &c in &topology.clients {
                     plan.block_at(a, c, SimTime::ZERO);
                 }
                 for &b in &all_bpeers[i + 1..] {
@@ -218,16 +212,8 @@ impl WhisperNet {
 
         Ok(WhisperNet {
             net,
-            directory: topo.directory,
-            rendezvous_node: topo.rendezvous,
-            group_nodes: topo.group_nodes,
-            group_ids: topo.group_ids,
-            group_advs: topo.group_advs,
-            proxy_node: topo.proxy,
-            client_nodes: topo.clients,
-            strategy: topo.strategy,
+            topology,
             bpeer_cfg,
-            next_node_index: topo.node_count,
             obs: None,
             ledger: None,
             pulse: None,
@@ -245,19 +231,17 @@ impl WhisperNet {
         let rec = Recorder::new();
         self.net.set_net_hook(Box::new(rec.clone()));
         self.net
-            .node_mut::<SwsProxyActor>(self.proxy_node)
+            .node_mut::<SwsProxyActor>(self.topology.proxy)
             .set_recorder(rec.clone());
-        let bpeers: Vec<NodeId> = self.group_nodes.iter().flatten().copied().collect();
-        for n in bpeers {
+        for n in self.topology.all_bpeers() {
             self.net.node_mut::<BPeerActor>(n).set_recorder(rec.clone());
         }
-        let clients = self.client_nodes.clone();
-        for c in clients {
+        for c in self.topology.clients.clone() {
             self.net
                 .node_mut::<ClientActor>(c)
                 .set_recorder(rec.clone());
         }
-        if let Some(r) = self.rendezvous_node {
+        if let Some(r) = self.topology.rendezvous {
             let rv = self.net.node_mut::<RendezvousActor>(r);
             rv.disco.set_recorder(rec.clone());
             rv.obs = Some(rec.clone());
@@ -282,8 +266,7 @@ impl WhisperNet {
             return ledger.clone();
         }
         let ledger = AvailabilityLedger::default();
-        let bpeers: Vec<NodeId> = self.group_nodes.iter().flatten().copied().collect();
-        for n in bpeers {
+        for n in self.topology.all_bpeers() {
             self.net
                 .node_mut::<BPeerActor>(n)
                 .set_ledger(ledger.clone());
@@ -311,16 +294,16 @@ impl WhisperNet {
         // Bounds sized for long soaks: 256 windows/node, 128 traces, 4 MiB.
         let store = pulse::shared_store(256, 128, 4 << 20);
         let collector = self.net.add_node(PulseCollectorActor::new(store.clone()));
-        self.next_node_index += 1;
+        self.topology.node_count += 1;
+        self.topology.collector = Some(collector);
         let cfg = PulseConfig::new(collector, interval);
         self.net
-            .node_mut::<SwsProxyActor>(self.proxy_node)
+            .node_mut::<SwsProxyActor>(self.topology.proxy)
             .set_pulse(cfg);
-        let bpeers: Vec<NodeId> = self.group_nodes.iter().flatten().copied().collect();
-        for n in bpeers {
+        for n in self.topology.all_bpeers() {
             self.net.node_mut::<BPeerActor>(n).set_pulse(cfg);
         }
-        if let Some(r) = self.rendezvous_node {
+        if let Some(r) = self.topology.rendezvous {
             self.net.node_mut::<RendezvousActor>(r).pulse = Some(cfg);
         }
         self.pulse = Some((store.clone(), collector, interval));
@@ -344,14 +327,14 @@ impl WhisperNet {
     ///
     /// Panics when `node` is a client (clients serve no snapshot).
     pub fn scope_snapshot(&self, node: NodeId) -> NodeSnapshot {
-        if node == self.proxy_node {
+        if node == self.topology.proxy {
             return self.net.node::<SwsProxyActor>(node).scope_snapshot();
         }
-        if Some(node) == self.rendezvous_node {
+        if Some(node) == self.topology.rendezvous {
             return self.net.node::<RendezvousActor>(node).scope_snapshot();
         }
         assert!(
-            !self.client_nodes.contains(&node),
+            !self.topology.clients.contains(&node),
             "clients serve no scope snapshot"
         );
         self.net.node::<BPeerActor>(node).scope_snapshot(self.now())
@@ -369,32 +352,33 @@ impl WhisperNet {
     ///
     /// Panics for an out-of-range group index.
     pub fn add_bpeer(&mut self, gi: usize, backend: Box<dyn ServiceBackend>) -> NodeId {
-        let group = self.group_ids[gi];
-        let adv = self.group_advs[gi].clone();
+        let group = self.topology.group_ids[gi];
+        let adv = self.topology.group_advs[gi].clone();
         let peer = PeerId::new(
-            self.directory
+            self.topology
+                .directory
                 .max_peer()
                 .map(|p| p.value() + 1)
                 .unwrap_or(1),
         );
-        let node = NodeId::from_index(self.next_node_index);
-        self.next_node_index += 1;
-        self.directory.register(peer, node);
+        let node = NodeId::from_index(self.topology.node_count);
+        self.topology.node_count += 1;
+        self.topology.directory.register(peer, node);
 
-        let mut members: Vec<PeerId> = self.group_nodes[gi]
+        let mut members: Vec<PeerId> = self.topology.group_nodes[gi]
             .iter()
-            .filter_map(|&n| self.directory.peer_of(n))
+            .filter_map(|&n| self.topology.directory.peer_of(n))
             .collect();
         members.push(peer);
         let mut cfg = self.bpeer_cfg.clone();
-        cfg.strategy = self.strategy;
+        cfg.strategy = self.topology.strategy;
         let actor = BPeerActor::new(
             peer,
             group,
             members,
             adv,
             backend,
-            self.directory.clone(),
+            self.topology.directory.clone(),
             cfg,
         );
         let added = self.net.add_node(actor);
@@ -414,10 +398,10 @@ impl WhisperNet {
                 .node_mut::<BPeerActor>(added)
                 .set_pulse(PulseConfig::new(collector, interval));
         }
-        self.group_nodes[gi].push(added);
+        self.topology.group_nodes[gi].push(added);
         // the proxy may flood-query the newcomer too
         self.net
-            .node_mut::<SwsProxyActor>(self.proxy_node)
+            .node_mut::<SwsProxyActor>(self.topology.proxy)
             .add_known_peer(peer);
         added
     }
@@ -495,37 +479,37 @@ impl WhisperNet {
 
     /// The node hosting the Web service + SWS-proxy.
     pub fn proxy_node(&self) -> NodeId {
-        self.proxy_node
+        self.topology.proxy
     }
 
     /// Client nodes, in configuration order.
     pub fn client_ids(&self) -> &[NodeId] {
-        &self.client_nodes
+        &self.topology.clients
     }
 
     /// Nodes of group `gi`, in peer-id order.
     pub fn group_nodes(&self, gi: usize) -> &[NodeId] {
-        &self.group_nodes[gi]
+        &self.topology.group_nodes[gi]
     }
 
     /// The rendezvous node when deployed with one.
     pub fn rendezvous_node(&self) -> Option<NodeId> {
-        self.rendezvous_node
+        self.topology.rendezvous
     }
 
     /// The peer↔node directory.
     pub fn directory(&self) -> &Directory {
-        &self.directory
+        &self.topology.directory
     }
 
     /// Number of deployed groups.
     pub fn group_count(&self) -> usize {
-        self.group_nodes.len()
+        self.topology.group_nodes.len()
     }
 
     /// The id of group `gi`.
     pub fn group_id(&self, gi: usize) -> GroupId {
-        self.group_ids[gi]
+        self.topology.group_ids[gi]
     }
 
     // --- Inspection -------------------------------------------------------
@@ -533,7 +517,7 @@ impl WhisperNet {
     /// The coordinator group `gi`'s live members currently agree on, if
     /// any (`None` during elections or total outage).
     pub fn coordinator_of(&self, gi: usize) -> Option<PeerId> {
-        for &n in &self.group_nodes[gi] {
+        for &n in &self.topology.group_nodes[gi] {
             if self.net.is_up(n) {
                 let actor = self.net.node::<BPeerActor>(n);
                 if actor.is_coordinator() {
@@ -556,13 +540,13 @@ impl WhisperNet {
 
     /// Proxy counters.
     pub fn proxy_stats(&self) -> ProxyStats {
-        self.net.node::<SwsProxyActor>(self.proxy_node).stats()
+        self.net.node::<SwsProxyActor>(self.topology.proxy).stats()
     }
 
     /// The deployed SWS-proxy actor, for inspection (bindings, QoS
     /// monitors, the fail-slow detector's evidence).
     pub fn proxy(&self) -> &SwsProxyActor {
-        self.net.node::<SwsProxyActor>(self.proxy_node)
+        self.net.node::<SwsProxyActor>(self.topology.proxy)
     }
 
     /// Client counters.
@@ -595,7 +579,7 @@ impl WhisperNet {
     /// coordinator.
     pub fn kill_coordinator(&mut self, gi: usize) -> Option<PeerId> {
         let coord = self.coordinator_of(gi)?;
-        let node = self.directory.node_of(coord)?;
+        let node = self.topology.directory.node_of(coord)?;
         self.net.kill_node(node);
         Some(coord)
     }
@@ -643,7 +627,7 @@ impl WhisperNet {
         let envelope = Envelope::request(payload).to_xml_string();
         self.net.inject(
             client,
-            self.proxy_node,
+            self.topology.proxy,
             WhisperMsg::SoapRequest {
                 request_id: id,
                 envelope,

@@ -59,6 +59,7 @@ pub mod composition;
 mod deadline;
 pub mod deploy;
 mod directory;
+mod edge;
 mod error;
 mod harness;
 pub mod matchmaker;
@@ -79,6 +80,7 @@ pub use deploy::{
     BackendFactory, Booted, Deployment, GroupBlueprint, PulseWiring, ScenarioWiring, Topology,
 };
 pub use directory::Directory;
+pub use edge::{Answer, Poll};
 pub use error::WhisperError;
 pub use harness::{ClientConfigTemplate, DeploymentConfig, GroupSpec, WhisperNet};
 pub use msg::WhisperMsg;
