@@ -9,10 +9,13 @@
 //! outage, and a measured MTTR — so a regression in any substrate's
 //! fault handling fails the job even before the numbers are compared.
 //! The simulator's MTTR is virtual time, exact and repeatable, so it is
-//! also held to the design: repair is failure detection alone (at most
-//! `failure_timeout + 2 × heartbeat_period`), the successor does not wait
-//! for an answer from the peer it has just buried. The wall-clock rows
-//! carry no time threshold.
+//! also held to the design
+//! ([`substrate_matrix::crash_repair_window`]): the survivors are told the
+//! dead coordinator's links closed and a beacon period of silence
+//! confirms it — repair, counted from the last beacon, takes at least one
+//! `heartbeat_period` and at most two plus an election hop; the successor
+//! waits neither for the failure timeout nor for an answer from the peer
+//! it has just buried. The wall-clock rows carry no time threshold.
 //!
 //! ```text
 //! fault_matrix [--plan FILE]
@@ -100,8 +103,7 @@ fn main() -> ExitCode {
     }
 
     let mut ok = rows.len() == 3;
-    let detection_bound =
-        tuning.cluster.failure_timeout + tuning.cluster.heartbeat_period.saturating_mul(2);
+    let (floor, ceiling) = substrate_matrix::crash_repair_window(&tuning.cluster);
     for r in &rows {
         // A custom plan may schedule any number of outages; the built-in
         // schedule must book exactly one with a measured repair.
@@ -116,10 +118,13 @@ fn main() -> ExitCode {
             );
             ok = false;
         }
-        if plan.is_none() && r.substrate == "sim" && r.mttr.is_some_and(|m| m > detection_bound) {
+        if plan.is_none()
+            && r.substrate == "sim"
+            && r.mttr.is_some_and(|m| m < floor || m > ceiling)
+        {
             eprintln!(
-                "FAIL sim: mttr {:?} exceeds detection alone ({detection_bound}): \
-                 the election waited for a peer it had already buried",
+                "FAIL sim: mttr {:?} outside [{floor}, {ceiling}]: a crash is repaired one \
+                 silent beacon period after its links closed, no sooner and no later",
                 r.mttr
             );
             ok = false;

@@ -112,8 +112,15 @@ fn main() -> ExitCode {
     for r in &rows {
         if !r.accepted(&tuning) {
             eprintln!(
-                "FAIL {}: lost={} dup={} goodput={:.4} gray_events={} ledger_up={}",
-                r.substrate, r.lost, r.duplicated, r.goodput, r.gray_faults_recorded, r.ledger_up
+                "FAIL {}: lost={} dup={} goodput={:.4} gray_events={} ledger_up={} \
+                 unowed_link_losses={}",
+                r.substrate,
+                r.lost,
+                r.duplicated,
+                r.goodput,
+                r.gray_faults_recorded,
+                r.ledger_up,
+                r.unowed_link_losses
             );
             ok = false;
         }

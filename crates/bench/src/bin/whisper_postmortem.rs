@@ -14,8 +14,9 @@
 //! Exit is non-zero unless every requested leg fired exactly one
 //! availability alert, sealed exactly one capture, and that capture is
 //! causally consistent and tells the full failover arc in happens-before
-//! order: `kill` → heartbeat miss → re-election → proxy re-bind. The
-//! per-substrate counters merge into the bench trajectory
+//! order: `kill` → `link-lost` → `lost-confirmed` → `skipped-suspect` →
+//! `elected` → `announced` → proxy re-bind. The per-substrate counters
+//! merge into the bench trajectory
 //! (`BENCH_PR10.json`).
 //!
 //! [`FaultPlan`]: whisper_simnet::FaultPlan

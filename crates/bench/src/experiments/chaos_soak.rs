@@ -19,10 +19,13 @@
 //!    period as downtime (the service stayed up, just degraded).
 //!
 //! The companion [`race`] measures *why* the fail-slow detector exists: it
-//! times recovery after a coordinator crash (detection → re-election →
-//! re-bind) against recovery after the same coordinator turns fail-slow
-//! (latency-EWMA trip → delegated bypass, no election), on the same
-//! substrate with the same timeouts.
+//! times recovery through the crash detector's own path (heartbeat
+//! timeout → re-election → re-bind) against recovery after the same
+//! coordinator turns fail-slow (latency-EWMA trip → delegated bypass, no
+//! election), on the same substrate with the same timeouts. The crash
+//! detector's leg cuts the coordinator off instead of killing it: a gray
+//! peer closes no link, so the heartbeat timeout — not the link evidence
+//! a kill leaves behind — is what it would otherwise have to wait for.
 //!
 //! The driver↔proxy edge stays pristine on purpose: answers must be
 //! observable to be countable, so chaos is confined to the proxy↔b-peer
@@ -37,7 +40,7 @@ use whisper::{Booted, EchoBackend, ProxyConfig, ScenarioWiring, WhisperMsg};
 use whisper_obs::{AvailabilityLedger, FlightEventKind, Recorder};
 use whisper_simnet::tcpnet::TcpNetBuilder;
 use whisper_simnet::threadnet::ThreadNetBuilder;
-use whisper_simnet::{DegradeSpec, FaultAction, FaultPlan, SimDuration, Substrate};
+use whisper_simnet::{DegradeSpec, FaultAction, FaultPlan, NodeId, SimDuration, Substrate};
 use whisper_soap::Envelope;
 
 /// Soak shape: request stream, gray-failure mix, and acceptance bars.
@@ -129,6 +132,9 @@ pub struct SoakOutcome {
     pub gray_faults_recorded: u64,
     /// Whether the ledger says the service was up when the books closed.
     pub ledger_up: bool,
+    /// `link-lost` / `lost-confirmed` marks naming a node no `kill` mark
+    /// precedes (must be 0: gray faults close no link).
+    pub unowed_link_losses: u64,
 }
 
 impl SoakOutcome {
@@ -139,6 +145,7 @@ impl SoakOutcome {
             && self.goodput >= t.goodput_floor
             && self.ledger_up
             && self.gray_faults_recorded > 0
+            && self.unowed_link_losses == 0
     }
 }
 
@@ -147,8 +154,9 @@ impl SoakOutcome {
 pub struct RaceOutcome {
     /// `"sim"`, `"threadnet"` or `"tcp"`.
     pub substrate: &'static str,
-    /// Fault → first fast answer after a coordinator crash (detection +
-    /// re-election + re-bind).
+    /// Fault → first fast answer when the crash detector has to do it:
+    /// the coordinator goes silent with its links open (heartbeat timeout
+    /// + re-election + re-bind).
     pub crash_recovery: SimDuration,
     /// Fault → first fast answer after the coordinator turns fail-slow
     /// (EWMA trip + delegated bypass; no election).
@@ -261,28 +269,26 @@ fn run_soak<N: Substrate<WhisperMsg>>(rig: &mut Booted<N>, t: &ChaosTuning) -> S
     }
     let goodput = (t.requests - lost - faults) as f64 / t.requests as f64;
 
-    let gray_faults_recorded = rig
-        .topology
-        .flight
-        .as_ref()
-        .map(|plane| {
-            plane
-                .capture()
-                .events()
-                .iter()
-                .filter(|e| match &e.kind {
-                    FlightEventKind::Fault { action } => {
-                        action.starts_with("degrade")
-                            || action.starts_with("restore")
-                            || action.starts_with("stall")
-                            || action.starts_with("slow")
-                            || action.starts_with("decode-error")
-                    }
-                    _ => false,
-                })
-                .count() as u64
+    // The fault marks of the merged timeline, as (verb, rest).
+    let timeline = rig.topology.flight.as_ref().map(|plane| plane.capture());
+    let marks: Vec<(&str, &str)> = timeline
+        .iter()
+        .flat_map(|t| t.events())
+        .filter_map(|e| match &e.kind {
+            FlightEventKind::Fault { action } => action.split_once(' '),
+            _ => None,
         })
-        .unwrap_or(0);
+        .collect();
+    let gray = ["degrade", "restore", "stall", "slow", "decode-error"];
+    let gray_faults_recorded = marks.iter().filter(|(v, _)| gray.contains(v)).count() as u64;
+    let unowed_link_losses = marks
+        .iter()
+        .enumerate()
+        .filter(|(i, (verb, node))| {
+            ["link-lost", "lost-confirmed"].contains(verb)
+                && !marks[..*i].contains(&("kill", *node))
+        })
+        .count() as u64;
     let ledger = rig.ledger.as_ref().expect("the soak wires a ledger");
     let ledger_up = ledger
         .service_report(rig.topology.group_ids[0].value(), rig.net.now())
@@ -303,6 +309,7 @@ fn run_soak<N: Substrate<WhisperMsg>>(rig: &mut Booted<N>, t: &ChaosTuning) -> S
         decode_errors: rig.net.metrics_snapshot().decode_errors,
         gray_faults_recorded,
         ledger_up,
+        unowed_link_losses,
     }
 }
 
@@ -333,7 +340,8 @@ pub fn run_soak_tcp(t: &ChaosTuning, seed: u64) -> SoakOutcome {
 /// The fault injected at the start of one race leg.
 #[derive(Debug, Clone, Copy)]
 enum RaceLeg {
-    Crash,
+    /// Cut off from every other node, process and sockets untouched.
+    Silent,
     FailSlow(u32),
 }
 
@@ -363,7 +371,13 @@ fn race_leg<N: Substrate<WhisperMsg>>(rig: &mut Booted<N>, leg: RaceLeg) -> SimD
 
     let t0 = rig.net.now();
     match leg {
-        RaceLeg::Crash => rig.net.kill_node(coordinator),
+        RaceLeg::Silent => {
+            for node in (0..rig.topology.node_count).map(NodeId::from_index) {
+                if node != coordinator {
+                    rig.net.block_link(coordinator, node);
+                }
+            }
+        }
         RaceLeg::FailSlow(factor) => rig.net.apply_action(FaultAction::Slow(coordinator, factor)),
     }
 
@@ -387,9 +401,9 @@ fn race_leg<N: Substrate<WhisperMsg>>(rig: &mut Booted<N>, leg: RaceLeg) -> SimD
     unreachable!("the probe loop returns or panics")
 }
 
-/// Times crash recovery against fail-slow recovery on OS threads, each leg
-/// on a fresh boot so the crash leg's re-election cannot contaminate the
-/// gray leg.
+/// Times the crash detector's recovery against fail-slow recovery on OS
+/// threads, each leg on a fresh boot so the silent leg's re-election
+/// cannot contaminate the gray leg.
 pub fn race(t: &ChaosTuning) -> RaceOutcome {
     let run = |leg| {
         let mut rig = soak_wiring(t)
@@ -401,7 +415,7 @@ pub fn race(t: &ChaosTuning) -> RaceOutcome {
     };
     RaceOutcome {
         substrate: "threadnet",
-        crash_recovery: run(RaceLeg::Crash),
+        crash_recovery: run(RaceLeg::Silent),
         fail_slow_recovery: run(RaceLeg::FailSlow(t.slow_factor)),
     }
 }

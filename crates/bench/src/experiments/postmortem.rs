@@ -12,11 +12,14 @@
 //!
 //! The assertion that matters: each kill produces **exactly one** sealed
 //! capture, and inside it the story reads in happens-before order —
-//! fault-injection `kill`, then a survivor's heartbeat *miss*, then the
-//! re-election milestone, then the proxy re-binding the group to the new
-//! coordinator. That order is recovered purely from Lamport clocks
-//! carried on the wire, not from synchronized wall clocks, which is why
-//! it holds on real sockets as well as in virtual time.
+//! fault-injection `kill`, then a survivor's `link-lost` for the dead
+//! peer, the `lost-confirmed` one silent beacon period later, the
+//! successor's `skipped-suspect` / `elected` / `announced` milestones, then
+//! the proxy re-binding the group to the new coordinator. That order is
+//! recovered purely from Lamport clocks — carried on the wire, and for the
+//! one edge no message carries, the closed link, read off the dead node's
+//! ring — not from synchronized wall clocks, which is why it holds on real
+//! sockets as well as in virtual time.
 //!
 //! [`FaultPlan`]: whisper_simnet::FaultPlan
 
@@ -95,18 +98,29 @@ pub fn scenario(t: &MatrixTuning) -> Deployment {
 }
 
 /// Walks the merged timeline and checks the failover arc appears in
-/// happens-before order: a `kill` fault, then a heartbeat miss, then an
-/// election milestone, then the proxy re-binding the group.
+/// happens-before order: a `kill` fault, a survivor told the victim's link
+/// is lost, the loss confirmed, the successor skipping the wait for the
+/// peer it has buried, elected, announcing itself, then the proxy
+/// re-binding the group.
 pub fn kill_story_ok(timeline: &IncidentTimeline) -> bool {
-    let mut stage = 0usize;
+    let mut arc = [
+        "kill",
+        "link-lost",
+        "lost-confirmed",
+        "skipped-suspect",
+        "elected",
+        "announced",
+    ]
+    .into_iter()
+    .peekable();
     for ev in timeline.events() {
-        stage = match (stage, &ev.kind) {
-            (0, FlightEventKind::Fault { action }) if action.starts_with("kill") => 1,
-            (1, FlightEventKind::HeartbeatMiss { .. }) => 2,
-            (2, FlightEventKind::Election { detail, .. }) if detail == "elected" => 3,
-            (3, FlightEventKind::Bind { rebind: true, .. }) => return true,
-            _ => stage,
+        let word = match &ev.kind {
+            FlightEventKind::Fault { action } => action.split(' ').next().unwrap_or(""),
+            FlightEventKind::Election { detail, .. } => detail.as_str(),
+            FlightEventKind::Bind { rebind: true, .. } if arc.peek().is_none() => return true,
+            _ => continue,
         };
+        arc.next_if(|next| *next == word);
     }
     false
 }
@@ -138,7 +152,12 @@ pub fn run_on<N: Substrate<WhisperMsg>>(
         .cloned()
         .expect("every node has a ring");
     let service = booted.topology.group_ids[0].value();
-    let mut slo = SloEngine::new(SloConfig::default());
+    // Three nines: a crash is repaired two beacon periods after the last
+    // beacon, which two nines would not notice.
+    let mut slo = SloEngine::new(SloConfig {
+        availability_target: 0.999,
+        ..SloConfig::default()
+    });
 
     booted.net.execute_plan(&plan);
 
@@ -322,7 +341,8 @@ mod tests {
         assert!(cap.timeline.causally_consistent(), "no recv before send");
         assert!(
             kill_story_ok(&cap.timeline),
-            "kill -> miss -> election -> re-bind, in happens-before order"
+            "kill -> link-lost -> lost-confirmed -> skipped-suspect -> elected -> announced \
+             -> re-bind, in happens-before order"
         );
         assert!(
             row.budget_remaining < 1.0,

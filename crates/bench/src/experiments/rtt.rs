@@ -312,21 +312,22 @@ mod tests {
         assert!(h.percentile(100.0).expect("samples").as_secs_f64() < 1.0);
     }
 
+    /// The paper's worst case was seconds: failure timeout, answer wait,
+    /// request timeout. None of the three is waited for after a crash any
+    /// more — its closed links are confirmed by one silent beacon period
+    /// (500 ms with these paper-era timers) and the successor tells the
+    /// proxy.
     #[test]
-    fn failover_takes_seconds_like_the_paper_says() {
+    fn crash_failover_takes_one_beacon_period_not_the_papers_seconds() {
         let f = failover_breakdown(3, 11);
+        let beacon = whisper::BPeerConfig::default().heartbeat_period;
         assert!(
-            f.total.as_secs_f64() >= 1.0,
-            "worst-case RTT {} should be in seconds",
+            f.total >= beacon && f.total < beacon + SimDuration::from_millis(100),
+            "worst-case RTT {} should be one beacon period",
             f.total
         );
-        assert!(
-            f.total.as_secs_f64() < 30.0,
-            "failover unreasonably slow: {}",
-            f.total
-        );
-        // both components the paper blames are non-trivial
-        assert!(f.detect_and_elect.as_millis_f64() > 100.0);
+        // both components the paper blames are still there to be measured
+        assert!(f.detect_and_elect >= beacon);
         assert!(f.rebind.as_millis_f64() > 0.0);
     }
 }

@@ -13,13 +13,17 @@
 //! reality.
 //!
 //! MTTR here is detection + re-election (the proxy re-bind leg is
-//! measured separately by the RTT experiments). The survivor that
-//! outranks the others does not wait for an answer from the coordinator
-//! its detector has just buried, so with heartbeat period `hb` and
-//! failure timeout `to` every substrate should land in roughly
-//! `[to, to + 2·hb]` — on the simulator exactly, which `fault_matrix`
-//! enforces; before failover went by notification the Bully answer
-//! timeout `el` sat on top (`[to, to + hb + 2·el]`).
+//! measured separately by the RTT experiments), counted from the
+//! coordinator's last beacon. A crash closes the coordinator's links: the
+//! survivors are told, confirm it with one silent beacon period `hb`, and
+//! the one that outranks the others does not wait for an answer from the
+//! peer it has just buried — so every substrate should land in
+//! [`crash_repair_window`], `[hb, 2·hb + a hop]`, on the simulator exactly,
+//! which `fault_matrix` enforces. A partition ([`partition_plan`]) closes
+//! nothing and still costs the failure timeout `to`: `[to, to + 2·hb]`.
+//! (Before crashes were noticed by their links that was the crash's window
+//! too; before failover went by notification the Bully answer timeout `el`
+//! sat on top, `[to, to + hb + 2·el]`.)
 
 use crate::{ClusterTuning, Table};
 use whisper::deploy::{Booted, Deployment, Topology};
@@ -106,6 +110,32 @@ pub fn fault_plan(topo: &Topology, t: &MatrixTuning) -> FaultPlan {
     plan.crash_at(victim, kill_at);
     plan.restart_at(victim, kill_at + t.outage);
     plan
+}
+
+/// The partition schedule: after `warmup` the coordinator is cut off from
+/// every other member, its process and its sockets untouched — the outage
+/// that leaves only silence as evidence.
+pub fn partition_plan(topo: &Topology, t: &MatrixTuning) -> FaultPlan {
+    let (&coordinator, members) = topo.group_nodes[0]
+        .split_last()
+        .expect("the group has at least one b-peer");
+    let mut plan = FaultPlan::new();
+    for &m in members {
+        plan.block_at(coordinator, m, SimTime::ZERO + t.warmup);
+    }
+    plan
+}
+
+/// Where the ledger's MTTR of a coordinator *crash* must land: no repair
+/// before one beacon period (link evidence is suspicion until a period of
+/// silence confirms it), none later than the beacon's age at the kill plus
+/// that period plus an election hop.
+pub fn crash_repair_window(t: &ClusterTuning) -> (SimDuration, SimDuration) {
+    let hop = SimDuration::from_millis(5);
+    (
+        t.heartbeat_period,
+        t.heartbeat_period.saturating_mul(2) + hop,
+    )
 }
 
 /// Runs a schedule on one booted substrate and reads the ledger's
@@ -254,40 +284,66 @@ pub fn record(summary: &mut crate::BenchSummary, rows: &[SubstrateOutcome]) {
 mod tests {
     use super::*;
 
-    /// The recovery window every substrate must land in: the failure
-    /// cannot be detected before the timeout, and detection + a couple of
-    /// election rounds bounds it above (generous 4x slack for loaded CI
-    /// machines on the wall-clock substrates).
-    fn assert_outcome_sane(r: &SubstrateOutcome, t: &MatrixTuning) {
+    /// What any single-outage schedule must leave behind, and its MTTR.
+    fn repaired_once(r: &SubstrateOutcome) -> SimDuration {
         assert!(
             r.recovered,
             "{}: no coordinator at the end: {r:?}",
             r.substrate
         );
         assert_eq!(r.failures, 1, "{}: exactly one outage: {r:?}", r.substrate);
-        let mttr = r
-            .mttr
-            .unwrap_or_else(|| panic!("{}: no mttr: {r:?}", r.substrate));
+        assert!(
+            r.availability > 0.5 && r.availability < 1.0,
+            "{}: availability should reflect one short outage: {r:?}",
+            r.substrate
+        );
+        r.mttr
+            .unwrap_or_else(|| panic!("{}: no mttr: {r:?}", r.substrate))
+    }
+
+    /// Generous slack on the ceilings for loaded CI machines on the
+    /// wall-clock substrates; the simulator is held to the window itself.
+    fn slack(r: &SubstrateOutcome) -> u64 {
+        if r.substrate == "sim" {
+            1
+        } else {
+            4
+        }
+    }
+
+    /// The recovery window a crash must land in on every substrate:
+    /// [`crash_repair_window`].
+    fn assert_outcome_sane(r: &SubstrateOutcome, t: &MatrixTuning) {
+        let mttr = repaired_once(r);
+        let (floor, ceiling) = crash_repair_window(&t.cluster);
+        assert!(
+            mttr >= floor,
+            "{}: a lost link was taken for death before one beacon period: {mttr} vs {floor}",
+            r.substrate
+        );
+        let ceiling = ceiling.saturating_mul(slack(r));
+        assert!(
+            mttr <= ceiling,
+            "{}: repair slower than link evidence + one beacon period: {mttr} vs {ceiling}",
+            r.substrate
+        );
+    }
+
+    /// The window a partition must land in: it closes no link, so nothing
+    /// may repair it before the failure timeout.
+    fn assert_partition_outcome_sane(r: &SubstrateOutcome, t: &MatrixTuning) {
+        let mttr = repaired_once(r);
         assert!(
             mttr >= t.cluster.failure_timeout,
             "{}: repaired before the failure timeout: {mttr} vs {}",
             r.substrate,
             t.cluster.failure_timeout
         );
-        let ceiling = SimDuration::from_micros(
-            (t.cluster.failure_timeout.as_micros()
-                + t.cluster.heartbeat_period.as_micros()
-                + 2 * t.cluster.election_timeout.as_micros())
-                * 4,
-        );
+        let ceiling = (t.cluster.failure_timeout + t.cluster.heartbeat_period.saturating_mul(2))
+            .saturating_mul(slack(r));
         assert!(
             mttr <= ceiling,
             "{}: repair slower than detection + re-election: {mttr} vs {ceiling}",
-            r.substrate
-        );
-        assert!(
-            r.availability > 0.5 && r.availability < 1.0,
-            "{}: availability should reflect one short outage: {r:?}",
             r.substrate
         );
     }
@@ -311,6 +367,24 @@ mod tests {
         live.net.shutdown();
         assert_eq!(live_row.substrate, "threadnet");
         assert_outcome_sane(&live_row, &t);
+    }
+
+    /// A partition is not a crash: with the coordinator cut off but alive,
+    /// no link closes, and both substrates wait out the failure timeout as
+    /// they always did. (The TCP leg is `partition_tcpnet.rs`.)
+    #[test]
+    fn a_partition_still_costs_the_failure_timeout_on_sim_and_threadnet() {
+        let t = MatrixTuning::default();
+        let dep = deployment(&t);
+
+        let mut sim = dep.boot_sim(3).expect("well-formed");
+        let plan = partition_plan(&sim.topology, &t);
+        assert_partition_outcome_sane(&run_on(&mut sim, &t, Some(&plan)), &t);
+
+        let mut live = dep.boot_threadnet().expect("well-formed");
+        let row = run_on(&mut live, &t, Some(&plan));
+        live.net.shutdown();
+        assert_partition_outcome_sane(&row, &t);
     }
 
     #[test]

@@ -6,8 +6,32 @@
 //! the old coordinator bully its way back.
 
 use whisper_bench::cluster::{pulse_scenario, student_info};
+use whisper_bench::experiments::substrate_matrix::{self, MatrixTuning};
 use whisper_bench::{ClusterTuning, PulseTuning};
 use whisper_simnet::SimDuration;
+
+/// The TCP leg of the substrate matrix's partition schedule (sim and
+/// threads: `substrate_matrix::tests`): cutting the coordinator off closes
+/// no socket, so the repair is not the crash's one beacon period — it
+/// still waits out the failure timeout.
+#[test]
+fn a_partition_still_costs_the_failure_timeout_on_tcp() {
+    let t = MatrixTuning::default();
+    let mut rig = substrate_matrix::deployment(&t)
+        .boot_tcp()
+        .expect("loopback sockets");
+    let plan = substrate_matrix::partition_plan(&rig.topology, &t);
+    let row = substrate_matrix::run_on(&mut rig, &t, Some(&plan));
+    rig.net.shutdown();
+    assert!(row.recovered, "no coordinator at the end: {row:?}");
+    assert_eq!(row.failures, 1, "exactly one outage: {row:?}");
+    let mttr = row.mttr.expect("the outage was repaired");
+    assert!(
+        mttr >= t.cluster.failure_timeout,
+        "repaired before the failure timeout: {mttr} vs {}",
+        t.cluster.failure_timeout
+    );
+}
 
 #[test]
 fn partitioned_coordinator_is_replaced_and_requests_rebind() {

@@ -32,6 +32,8 @@ const TOKEN_HEARTBEAT: u64 = 1;
 const TOKEN_FD_CHECK: u64 = 2;
 const TOKEN_REPUBLISH: u64 = 3;
 const TOKEN_PULSE: u64 = 4;
+/// One run of the detector sweep, a beacon period after a link was lost.
+const TOKEN_LOST_CHECK: u64 = 5;
 const ELECTION_TOKEN_BASE: u64 = 1 << 63;
 const RESPONSE_TOKEN_BASE: u64 = 1 << 62;
 
@@ -929,6 +931,91 @@ impl BPeerActor {
         }
     }
 
+    /// One pass of the failure detector: flags and buries the peers it
+    /// holds dead, and replaces a dead coordinator. Runs every heartbeat
+    /// period, and once a beacon period after a link was lost — waiting
+    /// for the periodic pass would add up to another period to the outage.
+    fn sweep_detector(&mut self, ctx: &mut Context<'_, WhisperMsg>) {
+        let now = ctx.now();
+        // Heartbeats form a star, so silence is only evidence for
+        // peers whose beacons this node expects: members monitor
+        // the coordinator, the coordinator monitors every member.
+        // The fd map also holds stale entries from boot-time
+        // election traffic; acting on those would bury live
+        // members and oscillate the ledger against the beacons
+        // the coordinator keeps receiving.
+        let monitored = self.heartbeat_targets();
+        let silent = self.fd.suspected(now);
+        let suspected: Vec<PeerId> = silent
+            .iter()
+            .copied()
+            .filter(|p| monitored.contains(p))
+            .collect();
+        // A lost link that a beacon period of silence has confirmed is
+        // evidence whoever the peer beacons: it cannot answer this node.
+        let lost = self.fd.lost_confirmed(now);
+        if let Some(flight) = &self.flight {
+            // record suspicion *transitions*: one mark when a peer is
+            // buried, one restore when it is heard from again
+            for &p in suspected.iter().chain(&lost) {
+                if !self.flight_suspects.insert(p.value()) {
+                    continue;
+                }
+                match self.directory.node_of(p) {
+                    Some(node) if lost.contains(&p) => {
+                        flight.note_fault(now, format!("lost-confirmed {node}"));
+                    }
+                    _ => {
+                        let last_seen = self.fd.last_seen(p).unwrap_or(now);
+                        flight.note_heartbeat_miss(now, p.value(), last_seen);
+                    }
+                }
+            }
+            let restored: Vec<u64> = self
+                .flight_suspects
+                .iter()
+                .copied()
+                .filter(|&p| !silent.iter().any(|s| s.value() == p))
+                .collect();
+            for p in restored {
+                self.flight_suspects.remove(&p);
+                flight.note_heartbeat_restore(now, p);
+            }
+        }
+        if let Some(ledger) = &self.ledger {
+            for &p in &suspected {
+                let last_seen = self.fd.last_seen(p).unwrap_or(now);
+                ledger.peer_down(p.value(), last_seen, now);
+            }
+        }
+        // An election does not wait for an answer from a peer this
+        // sweep holds dead; one already waiting may end here.
+        let buried = suspected.iter().chain(&lost).copied();
+        let out = self.election.set_suspects(buried, now);
+        self.route_election_output(ctx, out);
+        if let Some(coord) = self.election.coordinator() {
+            if coord != self.peer && suspected.contains(&coord) {
+                // the coordinator went silent: the service is down
+                // from the coordinator's last sign of life until a
+                // successor takes over — elect a new one.
+                if let Some(ledger) = &self.ledger {
+                    let last_seen = self.fd.last_seen(coord).unwrap_or(now);
+                    ledger.coordinator_down(self.group.value(), coord.value(), last_seen, now);
+                }
+                if let Some(flight) = &self.flight {
+                    flight.note_election(
+                        now,
+                        self.election.epoch(),
+                        self.election.coordinator().map(|p| p.value()),
+                        "started",
+                    );
+                }
+                let out = self.election.start_election(now);
+                self.route_election_output(ctx, out);
+            }
+        }
+    }
+
     /// Marks a hand-off of a request to another member on its trace.
     fn obs_delegate(
         &self,
@@ -978,6 +1065,8 @@ impl Actor<WhisperMsg> for BPeerActor {
         // proxy's timeout has already failed the requests over. So are
         // responses deferred behind a service-time timer: the crash took
         // the timer, and the virtual servers it booked are free again.
+        // Lost-link evidence goes with the detector that held it; the
+        // sweep it armed was a timer, and the crash took that too.
         self.jobs.clear();
         self.stash.clear();
         self.busy_slots.fill(SimTime::ZERO);
@@ -990,6 +1079,27 @@ impl Actor<WhisperMsg> for BPeerActor {
         self.on_start(ctx);
     }
 
+    fn on_link_lost(&mut self, ctx: &mut Context<'_, WhisperMsg>, node: NodeId) {
+        // Evidence about a member on the far end of a link of this peer's
+        // own; one reached through a relay never was.
+        let Some(peer) = self.directory.peer_of(node) else {
+            return;
+        };
+        if !self.members.contains(&peer)
+            || crate::routing::relay_between(&self.directory, self.peer, peer).is_some()
+        {
+            return;
+        }
+        if let Some(rec) = &self.obs {
+            rec.incr("bpeer.link_lost", 1);
+        }
+        // Suspicion, not death: one beacon period without a word from the
+        // peer confirms it, at a detector sweep armed for that instant.
+        self.fd
+            .link_lost(peer, ctx.now() + self.config.heartbeat_period);
+        ctx.set_timer(self.config.heartbeat_period, TOKEN_LOST_CHECK);
+    }
+
     fn on_message(&mut self, ctx: &mut Context<'_, WhisperMsg>, from: NodeId, msg: WhisperMsg) {
         // Unwrap (or forward, if we are the relay) relayed envelopes first.
         let Some((from, msg)) =
@@ -1000,7 +1110,12 @@ impl Actor<WhisperMsg> for BPeerActor {
         self.rx.on_send(msg.kind(), msg.wire_size());
         // Any traffic from a peer proves it is alive.
         if let Some(peer) = self.directory.peer_of(from) {
-            self.fd.record(peer, ctx.now());
+            if self.fd.record(peer, ctx.now()) {
+                // it spoke after its link was lost: over a fresh one
+                if let Some(rec) = &self.obs {
+                    rec.incr("bpeer.link_lost_cleared", 1);
+                }
+            }
             if let Some(ledger) = &self.ledger {
                 ledger.peer_heartbeat(peer.value(), ctx.now());
             }
@@ -1169,80 +1284,10 @@ impl Actor<WhisperMsg> for BPeerActor {
                 ctx.set_timer(self.republish_period(), TOKEN_REPUBLISH);
             }
             TOKEN_FD_CHECK => {
-                let now = ctx.now();
-                // Heartbeats form a star, so silence is only evidence for
-                // peers whose beacons this node expects: members monitor
-                // the coordinator, the coordinator monitors every member.
-                // The fd map also holds stale entries from boot-time
-                // election traffic; acting on those would bury live
-                // members and oscillate the ledger against the beacons
-                // the coordinator keeps receiving.
-                let monitored = self.heartbeat_targets();
-                let silent = self.fd.suspected(now);
-                let suspected: Vec<PeerId> = silent
-                    .iter()
-                    .copied()
-                    .filter(|p| monitored.contains(p))
-                    .collect();
-                if let Some(flight) = &self.flight {
-                    // record suspicion *transitions*: one miss when a
-                    // monitored peer goes silent, one restore when it is
-                    // heard from again
-                    for &p in &suspected {
-                        if self.flight_suspects.insert(p.value()) {
-                            let last_seen = self.fd.last_seen(p).unwrap_or(now);
-                            flight.note_heartbeat_miss(now, p.value(), last_seen);
-                        }
-                    }
-                    let restored: Vec<u64> = self
-                        .flight_suspects
-                        .iter()
-                        .copied()
-                        .filter(|&p| !silent.iter().any(|s| s.value() == p))
-                        .collect();
-                    for p in restored {
-                        self.flight_suspects.remove(&p);
-                        flight.note_heartbeat_restore(now, p);
-                    }
-                }
-                if let Some(ledger) = &self.ledger {
-                    for &p in &suspected {
-                        let last_seen = self.fd.last_seen(p).unwrap_or(now);
-                        ledger.peer_down(p.value(), last_seen, now);
-                    }
-                }
-                // An election does not wait for an answer from a peer this
-                // sweep holds silent; one already waiting may end here.
-                let out = self.election.set_suspects(suspected.iter().copied(), now);
-                self.route_election_output(ctx, out);
-                if let Some(coord) = self.election.coordinator() {
-                    if coord != self.peer && suspected.contains(&coord) {
-                        // the coordinator went silent: the service is down
-                        // from the coordinator's last sign of life until a
-                        // successor takes over — elect a new one.
-                        if let Some(ledger) = &self.ledger {
-                            let last_seen = self.fd.last_seen(coord).unwrap_or(now);
-                            ledger.coordinator_down(
-                                self.group.value(),
-                                coord.value(),
-                                last_seen,
-                                now,
-                            );
-                        }
-                        if let Some(flight) = &self.flight {
-                            flight.note_election(
-                                now,
-                                self.election.epoch(),
-                                self.election.coordinator().map(|p| p.value()),
-                                "started",
-                            );
-                        }
-                        let out = self.election.start_election(now);
-                        self.route_election_output(ctx, out);
-                    }
-                }
+                self.sweep_detector(ctx);
                 ctx.set_timer(self.config.heartbeat_period, TOKEN_FD_CHECK);
             }
+            TOKEN_LOST_CHECK => self.sweep_detector(ctx),
             TOKEN_PULSE => self.emit_pulse(ctx),
             _ => {}
         }

@@ -14,6 +14,16 @@ use crate::msg::WhisperMsg;
 use whisper_p2p::PeerId;
 use whisper_simnet::Context;
 
+/// The relay that carries traffic between `me` and `to`, when they have no
+/// link of their own: our own relay carries everything except traffic to
+/// the relay itself; otherwise the destination's relay (if any) fronts it.
+pub(crate) fn relay_between(directory: &Directory, me: PeerId, to: PeerId) -> Option<PeerId> {
+    match directory.relay_of(me) {
+        Some(r) if to != r => Some(r),
+        _ => directory.relay_of(to).filter(|&r| r != me),
+    }
+}
+
 /// Sends `msg` from peer `me` to peer `to`, wrapping it in a
 /// [`WhisperMsg::Relayed`] envelope when either endpoint sits behind a
 /// relay. Unroutable destinations are dropped silently, like datagrams.
@@ -24,16 +34,7 @@ pub(crate) fn send_routed(
     to: PeerId,
     msg: WhisperMsg,
 ) {
-    // Our own relay carries everything except traffic to the relay itself;
-    // otherwise the destination's relay (if any) fronts it.
-    let via = match directory.relay_of(me) {
-        Some(r) if to != r => Some(r),
-        _ => match directory.relay_of(to) {
-            Some(r) if r != me => Some(r),
-            _ => None,
-        },
-    };
-    match via {
+    match relay_between(directory, me, to) {
         Some(relay) => {
             if let Some(node) = directory.node_of(relay) {
                 ctx.send(

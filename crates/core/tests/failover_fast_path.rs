@@ -1,14 +1,18 @@
-//! Failover by notification, on the simulator with the benchmark's timers
-//! (50 ms beacons, 250 ms failure timeout, 200 ms Bully answer wait, 1 s
-//! proxy request timeout, three b-peers): the outage a client sees is
-//! failure detection plus one hop. The survivor that outranks the other
-//! does not wait for an answer from the coordinator its own detector has
-//! just buried, and it tells the proxy, which moves what was pending at
-//! the dead peer at once instead of one request timeout later.
+//! Failover by transport evidence and notification, on the simulator with
+//! the benchmark's timers (50 ms beacons, 250 ms failure timeout, 200 ms
+//! Bully answer wait, 1 s proxy request timeout, three b-peers): the outage
+//! a client sees is one beacon period plus a hop. The survivors are told
+//! the dead coordinator's links closed and confirm it with one silent
+//! beacon period; the one that outranks the other does not wait for an
+//! answer from the peer it has just buried, and it tells the proxy, which
+//! moves what was pending at the dead peer at once instead of one request
+//! timeout later.
 //!
 //! The kill is swept over a whole heartbeat period in 5 ms steps, with the
 //! two survivors' detector sweeps in phase and 20 ms apart, with and
-//! without load sharing: no interleaving may pay either wait.
+//! without load sharing: no interleaving may pay the failure timeout or
+//! either wait, and none may act on the lost link before the beacon period
+//! is out.
 
 use whisper::{
     BPeerConfig, ClientConfigTemplate, DeploymentConfig, GroupSpec, ProxyBacklog, ProxyConfig,
@@ -20,7 +24,11 @@ use whisper_xml::Element;
 
 const HEARTBEAT: SimDuration = SimDuration::from_millis(50);
 const FAILURE_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+const ANSWER_TIMEOUT: SimDuration = SimDuration::from_millis(200);
 const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(1000);
+/// Link latency to be told, an election hop, the announcement, one
+/// forwarded request and its answer: about 1 ms on the simulated LAN.
+const HOP: SimDuration = SimDuration::from_millis(5);
 
 fn ms(n: u64) -> SimTime {
     SimTime::from_micros(n * 1000)
@@ -32,7 +40,7 @@ fn benchmark_timers(load_share: bool) -> (BPeerConfig, ProxyConfig) {
         heartbeat_period: HEARTBEAT,
         failure_timeout: FAILURE_TIMEOUT,
         bully: BullyConfig {
-            answer_timeout: SimDuration::from_millis(200),
+            answer_timeout: ANSWER_TIMEOUT,
             coordinator_timeout: SimDuration::from_millis(400),
             cooldown: SimDuration::from_millis(200),
         },
@@ -47,13 +55,13 @@ fn benchmark_timers(load_share: bool) -> (BPeerConfig, ProxyConfig) {
     (bpeer, proxy)
 }
 
-/// Three replicas behind the proxy and two open-loop clients, 250
+/// `peers` replicas behind the proxy and two open-loop clients, 250
 /// requests a second each: the first offers 2.0–4.0 s (the kill leg), the
 /// second 4.5–5.5 s (the restart leg), with nothing in flight in between.
-fn deployment(seed: u64, load_share: bool) -> WhisperNet {
+fn deployment(seed: u64, peers: usize, load_share: bool) -> WhisperNet {
     let service = whisper_wsdl::samples::student_management();
     let op = service.operation("StudentInformation").expect("sample op");
-    let backends: Vec<Box<dyn ServiceBackend>> = (0..3)
+    let backends: Vec<Box<dyn ServiceBackend>> = (0..peers)
         .map(|_| Box::new(StudentRegistry::operational_db().with_sample_data()) as _)
         .collect();
     let mut payload = Element::new("StudentInformation");
@@ -107,12 +115,23 @@ fn assert_all_answered_promptly(net: &WhisperNet, client: NodeId, case: &str) ->
     stats.sent
 }
 
+/// Kill → first good answer to a request sent at or after the kill.
+fn outage_after(net: &WhisperNet, client: NodeId, kill_at: SimTime) -> SimDuration {
+    net.client_outcomes(client)
+        .iter()
+        .filter(|o| o.sent_at >= kill_at)
+        .filter_map(|o| o.completed_at)
+        .min()
+        .expect("requests were sent after the kill")
+        .since(kill_at)
+}
+
 /// One kill → restart story; `skew_ms` de-phases the lower survivor's
 /// detector sweep from the others', `kill_offset_ms` places the kill in
 /// the heartbeat period.
 fn run_case(load_share: bool, skew_ms: u64, kill_offset_ms: u64) {
     let case = format!("load_share={load_share} skew={skew_ms}ms offset={kill_offset_ms}ms");
-    let mut net = deployment(18, load_share);
+    let mut net = deployment(18, 3, load_share);
     let victim = *net.group_nodes(0).last().expect("three b-peers");
     let lowest = net.group_nodes(0)[0];
     let (first, second) = (net.client_ids()[0], net.client_ids()[1]);
@@ -137,18 +156,11 @@ fn run_case(load_share: bool, skew_ms: u64, kill_offset_ms: u64) {
     net.run_until(ms(4400));
     let sent_first = assert_all_answered_promptly(&net, first, &case);
     assert_eq!(sent_first, 500, "{case}");
-    let first_good_after_kill = net
-        .client_outcomes(first)
-        .iter()
-        .filter(|o| o.sent_at >= kill_at)
-        .filter_map(|o| o.completed_at)
-        .min()
-        .expect("requests were sent after the kill");
-    let outage = first_good_after_kill.since(kill_at);
+    let outage = outage_after(&net, first, kill_at);
     assert!(
-        outage <= FAILURE_TIMEOUT + HEARTBEAT + HEARTBEAT,
-        "{case}: outage {outage} — detection plus one hop is at most \
-         failure_timeout + 2 × heartbeat_period"
+        outage >= HEARTBEAT && outage <= HEARTBEAT + HOP,
+        "{case}: outage {outage} — a lost link is confirmed by one silent \
+         beacon period, no sooner, and acted on one hop later"
     );
     assert_eq!(net.proxy().backlog().pending, 0, "{case}");
     let handled_before_restart_leg = handled(&net);
@@ -190,6 +202,67 @@ fn no_kill_offset_pays_the_answer_wait_or_the_request_timeout() {
             }
         }
     }
+}
+
+/// The E20 hole: in a group of five the members monitor the coordinator
+/// only, so when peers 5 and 4 die together peer 3's silence detector
+/// never buries 4 — and its election used to wait the whole answer timeout
+/// for it. A lost link is evidence whoever the peer beacons.
+#[test]
+fn a_second_casualty_does_not_cost_the_answer_wait() {
+    let mut net = deployment(21, 5, false);
+    let group = net.group_nodes(0).to_vec();
+    let first = net.client_ids()[0];
+    let kill_at = ms(3020);
+    net.run_until(kill_at);
+    net.kill_node(group[4]);
+    net.kill_node(group[3]);
+    net.run_until(ms(4400));
+
+    let outage = outage_after(&net, first, kill_at);
+    assert!(
+        outage <= HEARTBEAT + HEARTBEAT + HOP,
+        "outage {outage}: peer 3 waited for a peer whose link it had lost"
+    );
+    assert_eq!(
+        assert_all_answered_promptly(&net, first, "two casualties"),
+        500
+    );
+    // (the first request is the cold one: it pays the discovery window)
+    for o in &net.client_outcomes(first)[1..] {
+        let waited = o.completed_at.expect("completed").since(o.sent_at);
+        assert!(waited < ANSWER_TIMEOUT, "request {} waited {waited}", o.id);
+    }
+    assert_eq!(net.coordinator_of(0), net.directory().peer_of(group[2]));
+    assert_eq!(net.proxy().backlog().pending, 0);
+}
+
+/// The Bully cooldown keeps stray `Election`s from re-running an election
+/// that has just settled; it must not keep the survivors from replacing a
+/// coordinator that dies inside it — which one beacon period of detection
+/// (shorter than the 200 ms cooldown) now makes an everyday case: the
+/// benchmark kills the coordinator 0–200 ms after it bullied back.
+#[test]
+fn a_coordinator_killed_right_after_it_was_crowned_is_replaced_at_once() {
+    let mut net = deployment(22, 3, false);
+    let victim = *net.group_nodes(0).last().expect("three b-peers");
+    let second = net.client_ids()[1];
+    net.run_until(ms(4000));
+    net.kill_node(victim);
+    net.run_until(ms(5000));
+    net.restart_node(victim); // crowned again within a hop...
+    let kill_at = ms(5060);
+    net.run_until(kill_at);
+    assert_eq!(net.coordinator_of(0), net.directory().peer_of(victim));
+    net.kill_node(victim); // ...and dead again 60 ms later
+    net.run_until(ms(5500) + REQUEST_TIMEOUT);
+
+    let outage = outage_after(&net, second, kill_at);
+    assert!(
+        outage <= HEARTBEAT + HOP,
+        "outage {outage}: the cooldown shielded a dead coordinator"
+    );
+    assert_eq!(assert_all_answered_promptly(&net, second, "re-kill"), 250);
 }
 
 /// The timeout path alone (a rendezvous deployment: b-peers never see the

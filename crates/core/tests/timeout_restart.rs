@@ -283,3 +283,70 @@ fn bpeer_restart_drops_deferred_responses_and_frees_its_servers() {
     assert_eq!(net.bpeer(bpeer).scope_snapshot(net.now()).queue_depth, 0);
     assert_eq!(net.proxy().backlog(), ProxyBacklog::default());
 }
+
+/// A b-peer told that a link is lost arms one detector sweep a beacon
+/// period out and keeps the evidence in its detector. A crash takes the
+/// timer; the restart must take the evidence with it (a fresh detector),
+/// or the restarted peer would hold a grudge nothing is armed to settle.
+#[test]
+fn bpeer_restart_drops_lost_link_evidence_and_the_sweep_it_armed() {
+    use whisper::deploy::Deployment;
+    use whisper_obs::FlightEventKind;
+    /// `TOKEN_LOST_CHECK` of `bpeer.rs`.
+    const LOST_CHECK: u64 = 5;
+
+    let mut dep = Deployment::student(3);
+    dep.with_flight = true;
+    dep.bpeer.heartbeat_period = SimDuration::from_millis(50);
+    dep.bpeer.failure_timeout = SimDuration::from_millis(250);
+    let mut rig = dep.boot_sim(47).expect("well-formed");
+    assert!(rig.await_election(0, SimDuration::from_secs(30)));
+    let (low, mid, top) = {
+        let g = &rig.topology.group_nodes[0];
+        (g[0], g[1], g[2])
+    };
+
+    rig.net.kill_node(top);
+    rig.net.run_for(SimDuration::from_millis(10));
+    for survivor in [low, mid] {
+        assert!(
+            rig.net.pending_timers(survivor).contains(&LOST_CHECK),
+            "{survivor}: told, and the confirming sweep is armed"
+        );
+    }
+    rig.net.kill_node(low);
+    rig.net.run_for(SimDuration::from_millis(10));
+    rig.net.restart_node(low);
+    rig.net.run_for(SimDuration::from_micros(1)); // lets `on_restart` run
+    assert!(!rig.net.pending_timers(low).contains(&LOST_CHECK));
+
+    rig.net.run_for(SimDuration::from_millis(200));
+    let timeline = rig.topology.flight.as_ref().expect("wired").capture();
+    let marks = |node: whisper_simnet::NodeId| -> Vec<String> {
+        let of_node = timeline
+            .events()
+            .iter()
+            .filter(|e| e.node == node.index() as u64);
+        of_node
+            .filter_map(|e| match &e.kind {
+                FlightEventKind::Fault { action } if action.contains("lost") => {
+                    Some(action.clone())
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    // the survivor that stayed up confirmed it (and won the election)...
+    assert_eq!(
+        marks(mid),
+        [
+            format!("link-lost {top}"),
+            format!("link-lost {low}"),
+            format!("lost-confirmed {top}")
+        ]
+    );
+    // ...the one that restarted in between confirmed nothing: it follows
+    assert_eq!(marks(low), [format!("link-lost {top}")]);
+    let snaps = rig.poll(&[low, mid], SimDuration::from_secs(2));
+    assert_eq!(snaps.coordinator(), Some(rig.topology.peer_of(mid).value()));
+}

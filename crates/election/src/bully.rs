@@ -27,7 +27,10 @@ pub struct BullyConfig {
     /// coordinator is known). Without it, stray in-flight `Election`
     /// messages re-trigger full elections at every idle node and a
     /// simultaneous boot turns into a message storm; JXTA-era deployments
-    /// rate-limited elections the same way.
+    /// rate-limited elections the same way. It shields a coordinator from
+    /// strays, not from the host's failure detector: once the coordinator
+    /// is suspected ([`BullyNode::set_suspects`]) an election starts at
+    /// once, however recent the one that crowned it.
     pub cooldown: SimDuration,
 }
 
@@ -256,9 +259,13 @@ impl ElectionProtocol for BullyNode {
             // an election is already in flight; let it finish
             return Output::none();
         }
-        if let (Some(concluded), Some(_)) = (self.last_concluded, self.coordinator) {
-            if concluded <= now && now.since(concluded) < self.config.cooldown {
-                // an election just settled on a coordinator; don't storm
+        if let (Some(concluded), Some(coord)) = (self.last_concluded, self.coordinator) {
+            // an election just settled on a coordinator; don't storm —
+            // unless the detector has buried that coordinator since
+            if !self.suspects.contains(&coord)
+                && concluded <= now
+                && now.since(concluded) < self.config.cooldown
+            {
                 return Output::none();
             }
         }
@@ -634,6 +641,24 @@ mod tests {
             out.events,
             vec![ElectionEvent::CoordinatorElected(PeerId::new(1))]
         );
+    }
+
+    #[test]
+    fn cooldown_does_not_shield_a_coordinator_the_detector_has_buried() {
+        let mut n = node(2, &[1, 2, 3]);
+        let crowned = ElectionMsg::Coordinator {
+            from: PeerId::new(3),
+        };
+        let _ = n.on_message(PeerId::new(3), crowned, t0());
+        let soon = SimTime::from_micros(60_000);
+        // a stray start inside the cooldown is still swallowed
+        assert_eq!(n.start_election(soon), Output::none());
+        // the coordinator dies right after it was crowned, and the
+        // detector (link evidence: one beacon period) says so
+        let _ = n.set_suspects(ids(&[3]), soon);
+        let out = n.start_election(soon);
+        assert!(n.is_coordinator(), "elected inside the cooldown");
+        assert_eq!(out.events, skipped_then_elected(2));
     }
 
     #[test]

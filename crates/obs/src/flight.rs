@@ -110,9 +110,12 @@ pub enum FlightEventKind {
         /// The restored peer.
         peer: u64,
     },
-    /// A fault was injected on this node (or one of its links).
+    /// A fault was injected on this node (or one of its links), or reached
+    /// it from one injected elsewhere.
     Fault {
-        /// Action label, e.g. `"kill 2"`, `"block 0 3"`.
+        /// Action label, e.g. `"kill n2"`, `"block n0 n3"`; `"link-lost n2"`
+        /// where a killed peer's link closed, `"lost-confirmed n2"` where a
+        /// beacon period of silence then confirmed it.
         action: String,
     },
     /// The node's inbound queue reached a new high-water mark.
@@ -419,7 +422,14 @@ impl FlightRing {
 
     /// Records a local (non-message) event, advancing the Lamport clock.
     pub fn record(&mut self, at: SimTime, kind: FlightEventKind) {
-        self.lamport += 1;
+        self.record_after(at, 0, kind);
+    }
+
+    /// Records a local event that another node's event caused without a
+    /// message between them (a lost link after a kill): `clock`, that
+    /// node's Lamport clock, is merged like a message stamp.
+    pub fn record_after(&mut self, at: SimTime, clock: u64, kind: FlightEventKind) {
+        self.lamport = self.lamport.max(clock) + 1;
         self.push(at, kind);
     }
 
@@ -606,6 +616,17 @@ impl FlightHandle {
             .record(at, FlightEventKind::HeartbeatRestore { peer });
     }
 
+    /// Records a fault mark in the substrate's words (`"kill n2"`) or the
+    /// protocol's (`"lost-confirmed n2"`).
+    pub fn note_fault(&self, at: SimTime, action: impl Into<String>) {
+        self.lock().record(
+            at,
+            FlightEventKind::Fault {
+                action: action.into(),
+            },
+        );
+    }
+
     /// Records the inbound queue depth (high-water marks only).
     pub fn note_queue_depth(&self, at: SimTime, depth: u64) {
         self.lock().record_queue_depth(at, depth);
@@ -665,12 +686,21 @@ impl FlightHook for FlightHandle {
     }
 
     fn on_fault(&mut self, now: SimTime, action: &str) {
-        self.lock().record(
+        self.note_fault(now, action);
+    }
+
+    fn on_fault_after(&mut self, now: SimTime, action: &str, clock: u64) {
+        self.lock().record_after(
             now,
+            clock,
             FlightEventKind::Fault {
                 action: action.to_string(),
             },
         );
+    }
+
+    fn lamport(&self) -> u64 {
+        self.lock().lamport()
     }
 }
 

@@ -95,6 +95,18 @@ pub trait Actor<M>: Send {
     /// (keep it to model persistent storage, clear it in `on_restart` to
     /// model a cold start).
     fn on_restart(&mut self, _ctx: &mut Context<'_, M>) {}
+
+    /// Called when the transport link from `peer` to this node closed
+    /// under it: `peer` crashed (its sockets shut), or the link's socket
+    /// broke. Every message `peer` sent over that link has been delivered
+    /// before this; a later sign of life can only come over a fresh link.
+    ///
+    /// The signal is gated exactly like a message — a down node and a
+    /// blocked pair hear nothing — and it is *evidence, not a verdict*: a
+    /// partition, a stalled or a slowed peer closes no link and never
+    /// produces it, and a peer that restarts at once produces it and then
+    /// speaks again. Treat it as suspicion to confirm.
+    fn on_link_lost(&mut self, _ctx: &mut Context<'_, M>, _peer: NodeId) {}
 }
 
 /// An [`Actor`] that can also be inspected via [`Any`] downcasts.
@@ -376,6 +388,21 @@ pub trait FlightHook: Send {
     /// A fault-plan action touching this node was applied (kill, restart,
     /// link block/unblock), described in the substrate's own words.
     fn on_fault(&mut self, now: SimTime, action: &str);
+
+    /// [`FlightHook::on_fault`] for a mark another node's fate caused — a
+    /// lost link (`"link-lost n2"`). `clock` is that node's
+    /// [`FlightHook::lamport`]; a hook that keeps a clock merges it like a
+    /// message stamp, so the mark is ordered after the other node's `kill`.
+    fn on_fault_after(&mut self, now: SimTime, action: &str, clock: u64) {
+        let _ = clock;
+        self.on_fault(now, action);
+    }
+
+    /// The Lamport clock of the last event recorded (0 for a hook that
+    /// keeps none).
+    fn lamport(&self) -> u64 {
+        0
+    }
 }
 
 impl<M: Wire> SimNet<M> {
@@ -675,6 +702,17 @@ impl<M: Wire> SimNet<M> {
                     self.dispatch(node, Hook::Timer(token));
                 }
             }
+            EventKind::LinkLost { from, to, clock } => {
+                // A peer that is back before its loss was read has
+                // re-dialed the link: the reader finds the replacement
+                // socket waiting and has nothing to report.
+                if self.nodes[to.index()].up && !self.nodes[from.index()].up {
+                    if let Some(h) = self.flight.get_mut(to.index()).and_then(Option::as_mut) {
+                        h.on_fault_after(ev.at, &FaultAction::link_lost_mark(from), clock);
+                    }
+                    self.dispatch(to, Hook::LinkLost(from));
+                }
+            }
             EventKind::Fault(action) => self.apply_fault(action),
         }
         true
@@ -754,8 +792,43 @@ impl<M: Wire> SimNet<M> {
         if let Some(b) = b {
             self.record_fault(b, &label);
         }
-        if let FaultAction::Restart(id) = action {
-            self.dispatch(id, Hook::Restart);
+        match action {
+            FaultAction::Restart(id) => self.dispatch(id, Hook::Restart),
+            FaultAction::Crash(id) => self.close_links_of(id),
+            _ => {}
+        }
+    }
+
+    /// A crashed node's links close: every up peer it is not partitioned
+    /// from is told one link latency later, and not before the last
+    /// message the dead node has in flight to it — a closed socket reads
+    /// EOF behind its last frame, which is what the live transports
+    /// report. Block, degrade, stall and slow close nothing and tell
+    /// nobody.
+    fn close_links_of(&mut self, dead: NodeId) {
+        let recorder = self.flight.get(dead.index()).and_then(Option::as_ref);
+        let clock = recorder.map_or(0, |h| h.lamport());
+        let mut last_frame = vec![SimTime::ZERO; self.nodes.len()];
+        for ev in self.queue.iter() {
+            if let EventKind::Deliver { from, to, .. } = ev.kind {
+                if from == dead {
+                    last_frame[to.index()] = last_frame[to.index()].max(ev.at);
+                }
+            }
+        }
+        for to in (0..self.nodes.len()).map(NodeId::from_index) {
+            if to == dead || !self.nodes[to.index()].up || self.blocked.contains(&(dead, to)) {
+                continue;
+            }
+            let eof = self.clock + self.link.latency(dead, to, 0, &mut self.rng);
+            self.queue.push(
+                eof.max(last_frame[to.index()]),
+                EventKind::LinkLost {
+                    from: dead,
+                    to,
+                    clock,
+                },
+            );
         }
     }
 
@@ -780,6 +853,7 @@ impl<M: Wire> SimNet<M> {
             Hook::Restart => actor.on_restart(&mut ctx),
             Hook::Message(from, msg) => actor.on_message(&mut ctx, from, msg),
             Hook::Timer(token) => actor.on_timer(&mut ctx, token),
+            Hook::LinkLost(peer) => actor.on_link_lost(&mut ctx, peer),
         }
         let ops = ctx.ops;
         for op in ops {
@@ -940,6 +1014,7 @@ enum Hook<M> {
     Restart,
     Message(NodeId, M),
     Timer(u64),
+    LinkLost(NodeId),
 }
 
 #[cfg(test)]

@@ -37,6 +37,16 @@ pub(crate) enum EventKind<M> {
         /// Crash epoch the timer was armed in; stale timers are ignored.
         epoch: u32,
     },
+    /// Tell a node that the link from a crashed peer closed.
+    LinkLost {
+        /// The crashed node.
+        from: NodeId,
+        /// The node that is told.
+        to: NodeId,
+        /// Lamport clock of the crashed node's flight recorder at the
+        /// crash (0 when it has none installed).
+        clock: u64,
+    },
     /// Apply an injected fault.
     Fault(FaultAction),
 }

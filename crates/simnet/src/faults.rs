@@ -95,6 +95,13 @@ impl FaultAction {
         };
         (label, a, b)
     }
+
+    /// The flight-ring label of a lost link, `"link-lost n2"`, in the ring
+    /// of the node that is told: not an injected action but what a `kill`
+    /// does to the victim's peers.
+    pub(crate) fn link_lost_mark(peer: NodeId) -> String {
+        format!("link-lost {peer}")
+    }
 }
 
 /// A schedule of faults to inject into a run on any substrate.

@@ -78,6 +78,9 @@ pub(crate) enum Ctl<M> {
     /// A delivered message: sender, payload, and the sender's Lamport stamp
     /// (0 when the sender records no flight data).
     Msg(NodeId, M, u64),
+    /// The link from this node closed under the receiver; with the
+    /// sender's Lamport clock at that moment.
+    LinkLost(NodeId, u64),
     /// Crash the node: it drops messages and timers until restarted.
     Crash,
     /// Bring a crashed node back; its `on_restart` hook runs.
@@ -240,6 +243,16 @@ impl<M: Wire> Hub<M> {
         sent
     }
 
+    /// Tells `to` that the link from `from` closed under it (see
+    /// [`Actor::on_link_lost`]). Gated like a message — a down `to` and a
+    /// blocked pair hear nothing — but it is not one: no send is counted.
+    pub(crate) fn link_lost(&self, from: NodeId, to: NodeId) {
+        if self.is_up(to) && !self.faults.is_blocked(from, to) {
+            let clock = self.flights.hook(from).map_or(0, |h| h.lock().lamport());
+            self.ctl(to, Ctl::LinkLost(from, clock));
+        }
+    }
+
     /// A message that needs no link — a self-send, a driver injection, any
     /// message on the channel transport: accounted at `wire_size()` and
     /// handed straight to the mailbox.
@@ -399,9 +412,10 @@ pub trait Transport<M: Wire>: Send + Sync + Sized + 'static {
     /// and hears nothing.
     fn deliver_corrupt(&self, hub: &Arc<Hub<M>>, from: NodeId, to: NodeId, msg: M);
 
-    /// `node` was killed: sends to it are already gated. Links that hold
-    /// nothing per node have nothing to do.
-    fn on_kill(&self, _node: NodeId) {}
+    /// `node` was killed: sends to it are already gated. Whatever closes
+    /// with it must end in `Hub::link_lost(node, peer)` for every peer,
+    /// after the last message `node` got onto that link.
+    fn on_kill(&self, hub: &Hub<M>, node: NodeId);
 
     /// `node` is about to come back: its gate opens when this returns.
     fn on_restart(&self, _hub: &Hub<M>, _node: NodeId) {}
@@ -463,7 +477,7 @@ impl<M: Wire, T: Transport<M>> Switch<M, T> {
                 }
                 hub.mark(&action);
                 hub.ctl(node, Ctl::Crash);
-                self.transport.on_kill(node);
+                self.transport.on_kill(hub, node);
             }
             FaultAction::Restart(node) => {
                 if hub.is_up(node) {
@@ -522,6 +536,7 @@ enum Hook<M> {
     Restart,
     Message(NodeId, M),
     Timer(u64),
+    LinkLost(NodeId),
 }
 
 /// What one node's thread keeps between hooks.
@@ -553,6 +568,7 @@ impl<M: Wire, T: Transport<M>> NodeLoop<M, T> {
             Hook::Restart => actor.on_restart(&mut ctx),
             Hook::Message(from, m) => actor.on_message(&mut ctx, from, m),
             Hook::Timer(token) => actor.on_timer(&mut ctx, token),
+            Hook::LinkLost(peer) => actor.on_link_lost(&mut ctx, peer),
         }
         let now = Instant::now();
         for op in ctx.take_ops() {
@@ -628,6 +644,16 @@ fn run_node<M: Wire, T: Transport<M>>(
                     node.run_hook(actor, Hook::Message(from, m));
                 }
                 // else: the message raced the crash; a down node hears nothing.
+            }
+            Ok(Ctl::LinkLost(from, clock)) => {
+                if up {
+                    let hub = &node.net.hub;
+                    if let Some(h) = hub.flights.hook(id) {
+                        let mark = FaultAction::link_lost_mark(from);
+                        h.lock().on_fault_after(hub.now(), &mark, clock);
+                    }
+                    node.run_hook(actor, Hook::LinkLost(from));
+                }
             }
             Ok(Ctl::Crash) => {
                 up = false;

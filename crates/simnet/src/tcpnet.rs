@@ -33,7 +33,7 @@ use crate::engine::{NodeId, TraceOutcome};
 use crate::live::{Hub, LiveNet, LiveNetBuilder, Transport};
 use crate::metrics::Metrics;
 use crate::Wire;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
@@ -244,8 +244,9 @@ fn encode_owned<M: Wire + Encode>(hub: &Hub<M>, from: NodeId, to: NodeId, msg: &
 
 /// One link's reader thread: decodes frames off the link's current socket
 /// into the destination's mailbox. Each socket it is handed is read to
-/// EOF/error, then the thread parks waiting for a replacement (node
-/// restart); a disconnected control channel ends the thread.
+/// EOF/error, `to` is told the link is lost, then the thread parks
+/// waiting for a replacement (node restart); a disconnected control
+/// channel ends the thread.
 fn spawn_reader<M: Wire + Decode>(
     hub: Arc<Hub<M>>,
     from: NodeId,
@@ -255,7 +256,8 @@ fn spawn_reader<M: Wire + Decode>(
     std::thread::spawn(move || {
         // One payload buffer per link, reused across sockets.
         let mut payload = Vec::new();
-        while let Ok(stream) = sockets.recv() {
+        let mut next = sockets.recv().ok();
+        while let Some(stream) = next {
             // One read buffer per socket, so a frame costs at most one
             // `read` (not one for the prefix and one for the payload) and
             // a burst one for all of it. Bytes of a killed socket's
@@ -283,6 +285,23 @@ fn spawn_reader<M: Wire + Decode>(
                     }
                 }
             }
+            // The socket ended — EOF after a kill, an error on an oversized
+            // or truncated frame — and every frame it carried is in the
+            // mailbox: `from` is gone as far as this link can tell. Unless
+            // it was `to` that died: then `to` is still down, or a restart
+            // has re-dialed the link, which it does before it lifts the
+            // gate — so the gate is read first, the replacement second.
+            let to_up = hub.is_up(to);
+            next = match sockets.try_recv() {
+                Ok(replacement) => Some(replacement),
+                Err(TryRecvError::Disconnected) => None,
+                Err(TryRecvError::Empty) => {
+                    if to_up {
+                        hub.link_lost(from, to);
+                    }
+                    sockets.recv().ok()
+                }
+            };
         }
     })
 }
@@ -423,7 +442,8 @@ impl<M: Wire + Encode + Decode> Transport<M> for TcpTransport {
         self.links.write_frame(from, to, &frame, &hub.metrics);
     }
 
-    fn on_kill(&self, node: NodeId) {
+    fn on_kill(&self, _: &Hub<M>, node: NodeId) {
+        // The readers at the far ends see EOF and report the loss.
         let n = self.links.n;
         let dead = node.index();
         if dead >= n {
@@ -981,12 +1001,17 @@ mod tests {
         assert_eq!(got, [Ping(2), Ping(1)], "parked frames go out first");
     }
 
-    /// Node 1 of a two-node net keeps every ping it hears.
+    /// Node 1 of a two-node net keeps every ping it hears, and `LOST` for
+    /// a link it is told is lost.
     struct Keep(Arc<Mutex<Vec<u32>>>);
+    const LOST: u32 = u32::MAX;
     impl Actor<Ping> for Keep {
         fn on_message(&mut self, _: &mut Context<'_, Ping>, _: NodeId, msg: Ping) {
             let Ping(n) = msg;
             self.0.lock().push(n);
+        }
+        fn on_link_lost(&mut self, _: &mut Context<'_, Ping>, _: NodeId) {
+            self.0.lock().push(LOST);
         }
     }
 
@@ -996,6 +1021,50 @@ mod tests {
         b.add_node(Keep(Arc::new(Mutex::new(Vec::new()))));
         b.add_node(Keep(kept.clone()));
         (b.start().unwrap(), kept)
+    }
+
+    #[test]
+    fn a_frame_that_ends_the_socket_loses_the_link_behind_its_last_good_frame() {
+        for bad in [
+            // a length prefix beyond MAX_FRAME_LEN
+            u32::MAX.to_le_bytes().to_vec(),
+            // a frame cut short: the writer goes away mid-payload
+            framed(8..9)[..4].to_vec(),
+        ] {
+            let (net, kept) = keeper_net();
+            let mut bytes = framed(7..8);
+            bytes.extend_from_slice(&bad);
+            write_raw(&net, std::iter::once(bytes));
+            if bad.len() == 4 && bad != u32::MAX.to_le_bytes() {
+                let slot = net.net.transport.links.slot(0, 1).writer.lock();
+                let _ = slot.as_ref().expect("up").stream.shutdown(Shutdown::Write);
+            }
+            let k = kept.clone();
+            wait_until("the broken socket was not reported", || k.lock().len() == 2);
+            assert_eq!(*kept.lock(), [7, LOST]);
+            // at shutdown every socket ends; nobody is left to be told
+            net.shutdown();
+            assert_eq!(*kept.lock(), [7, LOST]);
+        }
+    }
+
+    #[test]
+    fn a_node_restarted_at_once_is_not_told_its_live_peers_are_gone() {
+        let (net, kept) = keeper_net();
+        let node = NodeId::from_index(1);
+        for round in 0..50 {
+            net.kill_node(node);
+            net.restart_node(node);
+            // through the re-dialed link, behind whatever the old
+            // socket's end might have queued
+            write_raw(&net, std::iter::once(framed(round..round + 1)));
+            let k = kept.clone();
+            wait_until("the re-dialed link is deaf", || {
+                k.lock().last() == Some(&round)
+            });
+        }
+        net.shutdown();
+        assert_eq!(*kept.lock(), (0..50).collect::<Vec<u32>>());
     }
 
     /// The frames of `pings`, back to back, as they travel on a link.

@@ -53,6 +53,16 @@ impl<M: Wire> Transport<M> for ChannelTransport {
     fn deliver_corrupt(&self, hub: &Arc<Hub<M>>, from: NodeId, to: NodeId, msg: M) {
         hub.post_corrupt(from, to, msg);
     }
+
+    fn on_kill(&self, hub: &Hub<M>, node: NodeId) {
+        // What the dead node has sent is in the mailboxes already; the
+        // loss of its "links" queues behind it.
+        for peer in (0..hub.node_count()).map(NodeId::from_index) {
+            if peer != node {
+                hub.link_lost(node, peer);
+            }
+        }
+    }
 }
 
 /// Collects actors before spawning threads: the live runtime's

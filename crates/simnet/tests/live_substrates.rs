@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use whisper_simnet::tcpnet::TcpNetBuilder;
 use whisper_simnet::threadnet::ThreadNetBuilder;
 use whisper_simnet::{
-    Actor, Context, FaultPlan, FlightHook, MetricsSnapshot, NetHook, NodeId, SelfInjector,
-    SimDuration, SimNet, SimTime, Spawner, Substrate, Wire,
+    Actor, Context, DegradeSpec, FaultAction, FaultPlan, FlightHook, MetricsSnapshot, NetHook,
+    NodeId, SelfInjector, SimDuration, SimNet, SimTime, Spawner, Substrate, Wire,
 };
 use whisper_wire::{Decode, Encode, Reader, WireError};
 
@@ -79,11 +79,13 @@ fn settle(net: &mut dyn Substrate<Ping>, what: &str, done: impl Fn(&MetricsSnaps
     }
 }
 
-/// Hears everything, says nothing; counts its restarts and leaves its
-/// self-injector (live substrates only) where the test can reach it.
+/// Hears everything, says nothing; counts its restarts, keeps the peers
+/// whose links it was told are lost, and leaves its self-injector (live
+/// substrates only) where the test can reach it.
 #[derive(Clone, Default)]
 struct Quiet {
     restarts: Arc<AtomicU32>,
+    lost: Arc<Mutex<Vec<NodeId>>>,
     injector: Arc<Mutex<Option<SelfInjector<Ping>>>>,
 }
 impl Actor<Ping> for Quiet {
@@ -93,6 +95,9 @@ impl Actor<Ping> for Quiet {
     fn on_message(&mut self, _: &mut Context<'_, Ping>, _: NodeId, _: Ping) {}
     fn on_restart(&mut self, _: &mut Context<'_, Ping>) {
         self.restarts.fetch_add(1, Ordering::SeqCst);
+    }
+    fn on_link_lost(&mut self, _: &mut Context<'_, Ping>, peer: NodeId) {
+        self.lost.lock().unwrap().push(peer);
     }
 }
 
@@ -240,9 +245,18 @@ fn the_chaos_smoke_plan_leaves_the_same_marks_everywhere() {
                 net.apply_action(action);
             }
             net.advance(SimDuration::from_millis(1));
+            // The kill's `link-lost` marks are evidence, not plan: they
+            // land a link latency or a thread wake-up later (and not at
+            // all once the restart has re-dialed), so they do depend on
+            // the gaps; `a_kill_closes_links_and_nothing_else_does` holds
+            // them to account.
             nodes
                 .iter()
-                .map(|(_, _, marks)| marks.0.lock().unwrap().clone())
+                .map(|(_, _, marks)| {
+                    let mut marks = marks.0.lock().unwrap().clone();
+                    marks.retain(|m| !m.starts_with("link-lost"));
+                    marks
+                })
                 .collect::<Vec<_>>()
         },
     );
@@ -264,5 +278,75 @@ fn the_chaos_smoke_plan_leaves_the_same_marks_everywhere() {
     );
     for (substrate, marks) in &reports[1..] {
         assert_eq!(marks, on_sim, "{substrate}");
+    }
+}
+
+#[test]
+fn a_kill_closes_links_and_nothing_else_does() {
+    let reports = on_every_substrate(
+        |spawner| quiet_nodes(spawner, 5),
+        |net, nodes| {
+            let [a, cut_off, down, victim] = [0, 2, 3, 4].map(|i| nodes[i].0);
+            // Nothing that leaves a peer alive closes a link...
+            net.apply_action(FaultAction::Degrade(
+                a,
+                victim,
+                DegradeSpec {
+                    latency: SimDuration::from_millis(1),
+                    loss_pct: 20,
+                    ..DegradeSpec::default()
+                },
+            ));
+            net.apply_action(FaultAction::Stall(victim, SimDuration::from_millis(5)));
+            net.apply_action(FaultAction::Slow(victim, 300));
+            net.block_link(cut_off, victim);
+            net.kill_node(down);
+            // ...a kill does, for every peer that is up and not cut off
+            // from the victim: a blocked pair and a down node hear nothing.
+            let heard = |i: usize| nodes[i].1.lost.lock().unwrap().clone();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while heard(0).is_empty() || heard(1).is_empty() {
+                assert!(Instant::now() < deadline, "{}: {:?}", net.name(), heard(0));
+                net.advance(SimDuration::from_millis(1));
+            }
+            assert_eq!(
+                heard(0),
+                [down],
+                "{}: gray faults closed a link",
+                net.name()
+            );
+            net.kill_node(victim);
+            while heard(0).len() < 2 || heard(1).len() < 2 {
+                assert!(Instant::now() < deadline, "{}: {:?}", net.name(), heard(0));
+                net.advance(SimDuration::from_millis(1));
+            }
+            // A beat for a signal that should not come, then the revived
+            // nodes: what they missed while down stays missed.
+            net.advance(SimDuration::from_millis(5));
+            net.unblock_link(cut_off, victim);
+            net.restart_node(down);
+            net.restart_node(victim);
+            let delivered = net.metrics_snapshot().delivered;
+            net.inject(a, victim, Ping(0));
+            settle(net, "revived victim deaf", |m| m.delivered > delivered);
+            let lost: Vec<_> = (0..5).map(heard).collect();
+            let marks = |i: usize| {
+                let marks = nodes[i].2 .0.lock().unwrap();
+                let lost = marks.iter().filter(|m| m.starts_with("link-lost"));
+                lost.cloned().collect::<Vec<_>>()
+            };
+            (lost, marks(0), marks(2), net.metrics_snapshot().sent)
+        },
+    );
+    for (substrate, (lost, marks, cut_off_marks, sent)) in &reports {
+        let (down, victim) = (NodeId::from_index(3), NodeId::from_index(4));
+        assert_eq!(lost[0], [down, victim], "{substrate}");
+        assert_eq!(lost[1], [down, victim], "{substrate}");
+        assert_eq!(lost[2], [down], "{substrate}: told across a blocked pair");
+        assert!(lost[3].is_empty(), "{substrate}: a down node was told");
+        assert_eq!(lost[4], [down], "{substrate}");
+        assert_eq!(*marks, ["link-lost n3", "link-lost n4"], "{substrate}");
+        assert_eq!(*cut_off_marks, ["link-lost n3"], "{substrate}");
+        assert_eq!(*sent, 1, "{substrate}: a lost link was counted as a send");
     }
 }
