@@ -17,7 +17,7 @@
 //!   (after discovery has bound the group). Compare against the paper's
 //!   ≈0.5 ms LAN round trip.
 
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,7 +25,6 @@ use whisper::{
     BPeerActor, BPeerConfig, Directory, GroupSpec, ProxyConfig, ServiceBackend, StudentRegistry,
     SwsProxyActor, WhisperMsg,
 };
-use whisper_bench::{time_mean_us, BenchSummary};
 use whisper_p2p::{GroupId, PeerId, SemanticAdv};
 use whisper_simnet::tcpnet::TcpNetBuilder;
 use whisper_simnet::threadnet::ThreadNetBuilder;
@@ -330,72 +329,4 @@ criterion_group!(
     bench_request_cycle_tcp,
 );
 
-/// Headline transport round-trip numbers for the machine-readable
-/// trajectory (`BENCH_PR10.json`): per-hop threadnet overhead and the warm
-/// TCP request cycle, the two ends of the runtime's latency range.
-fn record_summary() {
-    let mut s = BenchSummary::new();
-
-    let completed = Arc::new(AtomicU64::new(0));
-    let mut b = ThreadNetBuilder::new();
-    let a = b.add_node(Paddle {
-        completed: completed.clone(),
-    });
-    let z = b.add_node(Paddle {
-        completed: completed.clone(),
-    });
-    let net = b.start();
-    let volley_us = time_mean_us(50, || {
-        let before = completed.load(Ordering::SeqCst);
-        net.inject(a, z, Ball::new(100));
-        while completed.load(Ordering::SeqCst) == before {
-            std::hint::spin_loop();
-        }
-    });
-    net.shutdown();
-    s.record("bench_rtt_threadnet", "threadnet_hop_us", volley_us / 100.0);
-
-    let completed = Arc::new(AtomicU64::new(0));
-    let (bpeers, proxy, client) = whisper_actors(&completed);
-    let mut b = TcpNetBuilder::new();
-    for bp in bpeers {
-        b.add_node(bp);
-    }
-    b.add_node(proxy);
-    let client_node = b.add_node(client);
-    let net = b.start().expect("loopback sockets");
-    let ids = AtomicU64::new(1);
-    net.inject(
-        client_node,
-        client_node,
-        student_request(ids.fetch_add(1, Ordering::SeqCst)),
-    );
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while completed.load(Ordering::SeqCst) == 0 {
-        assert!(Instant::now() < deadline, "warm-up request never completed");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let cycle_us = time_mean_us(20, || {
-        let before = completed.load(Ordering::SeqCst);
-        net.inject(
-            client_node,
-            client_node,
-            student_request(ids.fetch_add(1, Ordering::SeqCst)),
-        );
-        while completed.load(Ordering::SeqCst) == before {
-            std::hint::spin_loop();
-        }
-    });
-    net.shutdown();
-    s.record("bench_rtt_threadnet", "tcpnet_request_cycle_us", cycle_us);
-
-    match s.save_merged() {
-        Ok(p) => println!("bench summary: {}", p.display()),
-        Err(e) => eprintln!("bench summary not written: {e}"),
-    }
-}
-
-fn main() {
-    benches();
-    record_summary();
-}
+criterion_main!(benches);

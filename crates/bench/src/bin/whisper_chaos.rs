@@ -17,16 +17,13 @@
 //! [`FaultPlan`] in its text form (see [`FaultPlan::parse_text`]), so a
 //! chaos schedule can be replayed from a file on every substrate.
 //!
-//! Soak and race statistics are merged into the bench trajectory next to
-//! the experiment CSVs.
-//!
 //! [`FaultPlan`]: whisper_simnet::FaultPlan
+//! [`FaultPlan::parse_text`]: whisper_simnet::FaultPlan::parse_text
 
 use std::process::ExitCode;
 
 use whisper_bench::experiments::chaos_soak::{self, ChaosTuning};
-use whisper_bench::BenchSummary;
-use whisper_simnet::FaultPlan;
+use whisper_bench::experiments::load_plan;
 
 fn main() -> ExitCode {
     let mut seeds = 3u64;
@@ -45,27 +42,17 @@ fn main() -> ExitCode {
                 }
             }
             "--plan" => {
-                let path = match args.next() {
-                    Some(p) => p,
-                    None => {
-                        eprintln!("--plan needs a file path");
-                        return ExitCode::FAILURE;
-                    }
+                let Some(path) = args.next() else {
+                    eprintln!("--plan needs a file path");
+                    return ExitCode::FAILURE;
                 };
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match FaultPlan::parse_text(&text) {
+                match load_plan(&path) {
                     Ok(plan) => {
                         println!("replaying {} actions from {path}", plan.actions().len());
                         tuning.plan = Some(plan);
                     }
                     Err(e) => {
-                        eprintln!("bad fault plan {path}: {e}");
+                        eprintln!("{e}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -89,10 +76,9 @@ fn main() -> ExitCode {
         rows.push(chaos_soak::run_soak_threadnet(&tuning, seed));
         rows.push(chaos_soak::run_soak_tcp(&tuning, seed));
     }
-    let t = chaos_soak::table(&rows);
-    t.print();
-    if let Ok(p) = t.save_csv() {
-        println!("csv: {}", p.display());
+    if let Err(e) = chaos_soak::table(&rows).emit() {
+        eprintln!("whisper-chaos: {e}");
+        return ExitCode::FAILURE;
     }
 
     let race = chaos_soak::race(&tuning);
@@ -100,13 +86,6 @@ fn main() -> ExitCode {
         "\nrebind race ({}): crash {} vs fail-slow {}",
         race.substrate, race.crash_recovery, race.fail_slow_recovery
     );
-
-    let mut summary = BenchSummary::new();
-    chaos_soak::record(&mut summary, &rows, &[race]);
-    match summary.save_merged() {
-        Ok(p) => println!("\nbench summary: {}", p.display()),
-        Err(e) => eprintln!("\nbench summary not written: {e}"),
-    }
 
     let mut ok = true;
     for r in &rows {

@@ -15,9 +15,7 @@
 //! availability alert, sealed exactly one capture, and that capture is
 //! causally consistent and tells the full failover arc in happens-before
 //! order: `kill` → `link-lost` → `lost-confirmed` → `skipped-suspect` →
-//! `elected` → `announced` → proxy re-bind. The per-substrate counters
-//! merge into the bench trajectory
-//! (`BENCH_PR10.json`).
+//! `elected` → `announced` → proxy re-bind.
 //!
 //! [`FaultPlan`]: whisper_simnet::FaultPlan
 
@@ -25,7 +23,6 @@ use std::process::ExitCode;
 
 use whisper_bench::experiments::postmortem::{self, PostmortemOutcome};
 use whisper_bench::experiments::substrate_matrix::MatrixTuning;
-use whisper_bench::BenchSummary;
 
 struct Options {
     substrate: String,
@@ -95,17 +92,9 @@ fn main() -> ExitCode {
     }
     postmortem::table(&rows).print();
 
-    let mut summary = BenchSummary::new();
-    postmortem::record(&mut summary, &rows);
-    match summary.save_merged() {
-        Ok(p) => println!("\nbench summary: {}", p.display()),
-        Err(e) => eprintln!("\nbench summary not written: {e}"),
-    }
-
     let mut ok = !rows.is_empty();
     for row in &rows {
-        let leg_ok = row.alerts_fired == 1 && row.captures.len() == 1 && row.captures_ok();
-        if !leg_ok {
+        if !row.accepted() {
             eprintln!(
                 "FAIL {}: alerts={} captures={} captures_ok={}",
                 row.substrate,

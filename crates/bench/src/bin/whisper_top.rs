@@ -10,8 +10,6 @@
 //!
 //! ```text
 //! whisper-top [--peers N] [--interval MS] [--frames N] [--once] [--live]
-//! whisper-top --check-summary PATH
-//! whisper-top --compare OLD.json NEW.json [--only SUBSTR] [--fail-on-regression PCT]
 //! ```
 //!
 //! `--once` prints a single frame and exits by health (the CI smoke
@@ -31,22 +29,13 @@
 //! refresh, and adds a telemetry panel under each frame: request-rate
 //! and p99 sparklines from the collector's windowed time-series, and a
 //! flame rendering of the latest tail-captured slow request.
-//! `--check-summary` validates that a `BENCH_PR10.json` trajectory file
-//! parses, without booting anything. `--compare` diffs two trajectory
-//! files stat by stat and prints a percent-change table; with
-//! `--fail-on-regression PCT` it exits non-zero if any shared statistic
-//! worsened by more than `PCT` percent (direction-aware: throughput-like
-//! stats such as availability count a *drop* as the regression).
-//! `--only SUBSTR` restricts the comparison to stats whose
-//! `experiment/stat` name contains `SUBSTR` — CI uses it to hold the
-//! tcpnet request-cycle bench to a tighter gate than the noisy rest.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use whisper::{SharedPulseStore, Topology};
 use whisper_bench::cluster::{self, ledger_downtime};
-use whisper_bench::{BenchSummary, ClusterTuning, PulseTuning, Table};
+use whisper_bench::{ClusterTuning, PulseTuning, Table};
 use whisper_obs::{
     AvailabilityLedger, MetricsDelta, NodeSnapshot, OutlierTrace, PulseSpan, SloConfig, SloEngine,
 };
@@ -58,23 +47,18 @@ struct Options {
     frames: Option<u64>,
     once: bool,
     live: bool,
-    check_summary: Option<String>,
-    compare: Option<(String, String)>,
-    only: Option<String>,
-    fail_on_regression: Option<f64>,
 }
 
+const USAGE: &str = "\
+usage: whisper-top [--peers N] [--interval MS] [--frames N] [--once] [--live]
+
+--once exits by health: 0 healthy; 3 up but degraded (coordinator
+disagreement, open ledger outage, or SLO burn — alert firing /
+error budget exhausted); 1 down (missing nodes or unanswered
+requests); 2 usage errors.";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: whisper-top [--peers N] [--interval MS] [--frames N] [--once] [--live]\n\
-         \x20      whisper-top --check-summary PATH\n\
-         \x20      whisper-top --compare OLD.json NEW.json [--only SUBSTR] [--fail-on-regression PCT]\n\
-         \n\
-         --once exits by health: 0 healthy; 3 up but degraded (coordinator\n\
-         disagreement, open ledger outage, or SLO burn — alert firing /\n\
-         error budget exhausted); 1 down (missing nodes or unanswered\n\
-         requests); 2 usage errors."
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -85,10 +69,6 @@ fn parse_args() -> Options {
         frames: None,
         once: false,
         live: false,
-        check_summary: None,
-        compare: None,
-        only: None,
-        fail_on_regression: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -113,176 +93,14 @@ fn parse_args() -> Options {
             },
             "--once" => opts.once = true,
             "--live" => opts.live = true,
-            "--check-summary" => opts.check_summary = Some(value("--check-summary")),
-            "--compare" => {
-                let old = value("--compare");
-                let new = value("--compare");
-                opts.compare = Some((old, new));
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0);
             }
-            "--only" => opts.only = Some(value("--only")),
-            "--fail-on-regression" => match value("--fail-on-regression").parse() {
-                Ok(pct) if pct >= 0.0 => opts.fail_on_regression = Some(pct),
-                _ => usage(),
-            },
-            "--help" | "-h" => usage(),
             _ => usage(),
         }
     }
     opts
-}
-
-/// Validates a trajectory file; the CI smoke test's second half.
-fn check_summary(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match BenchSummary::parse(&text) {
-        Ok(s) => {
-            println!("{path}: ok ({} experiments)", s.len());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: invalid bench summary: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `true` for statistics where bigger is better — availability, fit
-/// quality, time-to-failure and the load plane's throughput numbers
-/// (`*_rps`); everything else in the trajectory is a latency/cost number
-/// where smaller wins.
-fn higher_is_better(stat: &str) -> bool {
-    ["availability", "r2", "mttf", "rps", "throughput"]
-        .iter()
-        .any(|m| stat.contains(m))
-}
-
-/// Loads and parses one trajectory file, printing the failure.
-fn load_summary(path: &str) -> Option<BenchSummary> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return None;
-        }
-    };
-    match BenchSummary::parse(&text) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("{path}: invalid bench summary: {e}");
-            None
-        }
-    }
-}
-
-/// Diffs two trajectory files stat by stat: prints a percent-change table
-/// and, when `fail_pct` is set, exits non-zero if any shared statistic
-/// worsened by more than that many percent. `only` restricts the diff to
-/// stats whose `experiment/stat` name contains the given substring.
-fn compare_summaries(
-    old_path: &str,
-    new_path: &str,
-    only: Option<&str>,
-    fail_pct: Option<f64>,
-) -> ExitCode {
-    let (Some(old), Some(new)) = (load_summary(old_path), load_summary(new_path)) else {
-        return ExitCode::FAILURE;
-    };
-    let selected =
-        |exp: &str, stat: &str| only.is_none_or(|needle| format!("{exp}/{stat}").contains(needle));
-
-    let mut t = Table::new(
-        "bench_compare",
-        &["experiment", "stat", "old", "new", "change_pct", "note"],
-    );
-    let mut worst: Option<(String, f64)> = None;
-    let mut missing = 0usize;
-    let mut compared = 0usize;
-    for exp in new.experiment_names() {
-        for (stat, new_v) in new.stats(exp) {
-            if !selected(exp, stat) {
-                continue;
-            }
-            compared += 1;
-            let Some(old_v) = old.get(exp, stat) else {
-                t.row(&[
-                    exp.to_string(),
-                    stat.to_string(),
-                    "-".into(),
-                    format!("{new_v:.4}"),
-                    "-".into(),
-                    "new".into(),
-                ]);
-                continue;
-            };
-            // Percent worsening, direction-aware: positive means worse.
-            let regression_pct = if old_v == 0.0 {
-                0.0
-            } else if higher_is_better(stat) {
-                (old_v - new_v) / old_v.abs() * 100.0
-            } else {
-                (new_v - old_v) / old_v.abs() * 100.0
-            };
-            let change_pct = if old_v == 0.0 {
-                0.0
-            } else {
-                (new_v - old_v) / old_v.abs() * 100.0
-            };
-            let over = fail_pct.is_some_and(|limit| regression_pct > limit);
-            t.row(&[
-                exp.to_string(),
-                stat.to_string(),
-                format!("{old_v:.4}"),
-                format!("{new_v:.4}"),
-                format!("{change_pct:+.1}"),
-                if over {
-                    "REGRESSION".into()
-                } else if regression_pct < -1.0 {
-                    "improved".into()
-                } else {
-                    String::new()
-                },
-            ]);
-            if worst.as_ref().is_none_or(|(_, w)| regression_pct > *w) {
-                worst = Some((format!("{exp}/{stat}"), regression_pct));
-            }
-        }
-    }
-    for exp in old.experiment_names() {
-        for (stat, _) in old.stats(exp) {
-            if selected(exp, stat) && new.get(exp, stat).is_none() {
-                missing += 1;
-                eprintln!(
-                    "warning: {exp}/{stat} present in {old_path} but missing from {new_path}"
-                );
-            }
-        }
-    }
-    if let Some(needle) = only {
-        if compared == 0 {
-            eprintln!("FAIL: no stat matching {needle:?} in {new_path}");
-            return ExitCode::FAILURE;
-        }
-    }
-    t.print();
-    if let Some((name, pct)) = &worst {
-        println!("worst regression: {name} ({pct:+.1}%)");
-    }
-    if missing > 0 {
-        println!("{missing} stat(s) dropped from the new trajectory");
-    }
-    match (fail_pct, worst) {
-        (Some(limit), Some((name, pct))) if pct > limit => {
-            eprintln!("FAIL: {name} regressed {pct:+.1}% (> {limit}% allowed)");
-            ExitCode::FAILURE
-        }
-        _ => ExitCode::SUCCESS,
-    }
 }
 
 fn fmt_ms(us: u64) -> String {
@@ -495,13 +313,6 @@ fn print_pulse(store: &SharedPulseStore, proxy: NodeId) {
 
 fn main() -> ExitCode {
     let opts = parse_args();
-    if let Some(path) = &opts.check_summary {
-        return check_summary(path);
-    }
-    if let Some((old, new)) = &opts.compare {
-        return compare_summaries(old, new, opts.only.as_deref(), opts.fail_on_regression);
-    }
-
     eprintln!(
         "booting {} b-peers + proxy on TCP loopback{}...",
         opts.peers,

@@ -32,8 +32,6 @@
 //! and b-peer↔b-peer links — exactly the links a real integration cannot
 //! see into.
 
-use std::collections::HashMap;
-
 use crate::cluster::{marked_envelope, marker, student_wiring, ClusterTuning};
 use crate::Table;
 use whisper::{Booted, EchoBackend, ProxyConfig, ScenarioWiring, WhisperMsg};
@@ -456,41 +454,6 @@ pub fn table(rows: &[SoakOutcome]) -> Table {
         ]);
     }
     t
-}
-
-/// Records worst-case-per-substrate soak stats and the rebind race into
-/// the bench trajectory.
-pub fn record(summary: &mut crate::BenchSummary, rows: &[SoakOutcome], races: &[RaceOutcome]) {
-    let mut worst: HashMap<&'static str, (f64, u64, u64, u64)> = HashMap::new();
-    for r in rows {
-        let e = worst.entry(r.substrate).or_insert((f64::INFINITY, 0, 0, 0));
-        e.0 = e.0.min(r.goodput);
-        e.1 += r.lost;
-        e.2 += r.duplicated;
-        e.3 += r.fail_slow_rebinds;
-    }
-    for (substrate, (goodput, lost, dup, rebinds)) in worst {
-        summary.record("chaos_soak", &format!("{substrate}_goodput_min"), goodput);
-        summary.record("chaos_soak", &format!("{substrate}_lost"), lost as f64);
-        summary.record("chaos_soak", &format!("{substrate}_duplicated"), dup as f64);
-        summary.record(
-            "chaos_soak",
-            &format!("{substrate}_fail_slow_rebinds"),
-            rebinds as f64,
-        );
-    }
-    for r in races {
-        summary.record(
-            "chaos_soak",
-            &format!("{}_crash_rebind_ms", r.substrate),
-            r.crash_recovery.as_millis_f64(),
-        );
-        summary.record(
-            "chaos_soak",
-            &format!("{}_fail_slow_rebind_ms", r.substrate),
-            r.fail_slow_recovery.as_millis_f64(),
-        );
-    }
 }
 
 #[cfg(test)]

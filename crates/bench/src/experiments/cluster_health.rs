@@ -167,35 +167,6 @@ pub fn summary_table(report: &ClusterHealthReport) -> Table {
     t
 }
 
-/// Flattens the report into `(stat, value)` pairs for the machine-readable
-/// bench summary ([`crate::BenchSummary`]).
-pub fn summary_stats(report: &ClusterHealthReport) -> Vec<(String, f64)> {
-    let s = &report.service;
-    let mut stats = vec![
-        ("kills".to_string(), report.rows.len() as f64),
-        ("availability".to_string(), s.availability),
-        ("failures".to_string(), s.failures as f64),
-        ("coordinator_churn".to_string(), s.churn as f64),
-        ("horizon_s".to_string(), report.horizon.as_secs_f64()),
-    ];
-    if let Some(mttr) = s.mttr {
-        stats.push(("mttr_ms".to_string(), mttr.as_secs_f64() * 1e3));
-    }
-    if let Some(mttf) = s.mttf {
-        stats.push(("mttf_s".to_string(), mttf.as_secs_f64()));
-    }
-    if !report.rows.is_empty() {
-        let mean_detect = report
-            .rows
-            .iter()
-            .map(|r| r.detection.as_secs_f64())
-            .sum::<f64>()
-            / report.rows.len() as f64;
-        stats.push(("mean_detection_ms".to_string(), mean_detect * 1e3));
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,17 +212,9 @@ mod tests {
             settle: SimDuration::from_secs(30),
             seed: 11,
         });
-        let stats = summary_stats(&report);
-        let get = |k: &str| {
-            stats
-                .iter()
-                .find(|(n, _)| n == k)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("missing stat {k}"))
-        };
-        assert_eq!(get("kills"), 1.0);
-        assert_eq!(get("failures"), 1.0);
-        assert!(get("mttr_ms") > 0.0);
-        assert!(get("availability") > 0.0 && get("availability") < 1.0);
+        assert_eq!(report.rows.len(), 1);
+        assert_eq!(report.service.failures, 1);
+        assert!(report.service.mttr.expect("one closed outage") > SimDuration::ZERO);
+        assert!(report.service.availability > 0.0 && report.service.availability < 1.0);
     }
 }

@@ -46,7 +46,7 @@ pub struct MatrixParams {
 }
 
 impl MatrixParams {
-    /// The full matrix `whisper-loadgen` runs by default.
+    /// The full matrix `whisper-bench loadgen` runs by default.
     pub fn full() -> MatrixParams {
         MatrixParams {
             peers: vec![1, 3, 5],
@@ -59,9 +59,8 @@ impl MatrixParams {
         }
     }
 
-    /// The short CI variant (`whisper-loadgen --smoke`): one replica
-    /// count, two rates, two windows — enough to produce the trajectory
-    /// stats the `load-smoke` job gates on.
+    /// The short CI variant (`whisper-bench loadgen --smoke`): one replica
+    /// count, two rates, two windows — enough for a knee and a peak.
     pub fn smoke() -> MatrixParams {
         MatrixParams {
             peers: vec![3],
@@ -245,36 +244,12 @@ pub fn table(rows: &[MatrixRow]) -> Table {
     t
 }
 
-/// Records the matrix into the bench trajectory: the overall closed-loop
-/// peak plus, per replica count, the knee and the corrected p99 at half
-/// the knee. `peak_rps`/`knee_rps` are throughput statistics —
-/// `whisper-top --compare` treats a *drop* as the regression.
-pub fn record(summary: &mut crate::BenchSummary, rows: &[MatrixRow]) {
-    summary.record("load_matrix", "peak_rps", peak_rps(rows));
-    let mut peers: Vec<usize> = rows.iter().map(|r| r.peers).collect();
-    peers.sort_unstable();
-    peers.dedup();
-    for p in peers {
-        if let Some(k) = knee(rows, p) {
-            summary.record("load_matrix", &format!("knee_rps_{p}peer"), k);
-        }
-        if let Some(p99) = half_knee_p99_us(rows, p) {
-            summary.record(
-                "load_matrix",
-                &format!("half_knee_p99_us_{p}peer"),
-                p99 as f64,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A miniature matrix on one replica: every point completes, the
-    /// trajectory stats come out, and the knee logic sees the
-    /// unsaturated low rate.
+    /// A miniature matrix on one replica: every point completes, and the
+    /// knee logic sees the unsaturated low rate.
     #[test]
     fn mini_matrix_produces_knee_and_peak() {
         let params = MatrixParams {
@@ -300,10 +275,5 @@ mod tests {
         assert_eq!(knee(&rows, 1), Some(400.0));
         assert!(peak_rps(&rows) > 0.0);
         assert!(half_knee_p99_us(&rows, 1).is_some());
-
-        let mut s = crate::BenchSummary::new();
-        record(&mut s, &rows);
-        assert!(s.get("load_matrix", "peak_rps").is_some());
-        assert!(s.get("load_matrix", "knee_rps_1peer").is_some());
     }
 }

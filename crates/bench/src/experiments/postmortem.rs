@@ -73,6 +73,12 @@ impl PostmortemOutcome {
                 .iter()
                 .all(|c| c.timeline.causally_consistent() && kill_story_ok(&c.timeline))
     }
+
+    /// The bar a leg with one kill must clear: exactly one alert fired,
+    /// exactly one capture sealed, and [`Self::captures_ok`].
+    pub fn accepted(&self) -> bool {
+        self.alerts_fired == 1 && self.captures.len() == 1 && self.captures_ok()
+    }
 }
 
 /// The E14 scenario plus an open-loop client, so the proxy holds a live
@@ -291,33 +297,6 @@ pub fn table(rows: &[PostmortemOutcome]) -> Table {
         ]);
     }
     t
-}
-
-/// Records the matrix into the bench trajectory (`BENCH_PR10.json`):
-/// per-substrate alert/capture counts and the boolean gates as 0/1.
-pub fn record(summary: &mut crate::BenchSummary, rows: &[PostmortemOutcome]) {
-    for r in rows {
-        summary.record(
-            "postmortem",
-            &format!("{}_alerts", r.substrate),
-            r.alerts_fired as f64,
-        );
-        summary.record(
-            "postmortem",
-            &format!("{}_captures", r.substrate),
-            r.captures.len() as f64,
-        );
-        summary.record(
-            "postmortem",
-            &format!("{}_captures_ok", r.substrate),
-            r.captures_ok() as u64 as f64,
-        );
-        summary.record(
-            "postmortem",
-            &format!("{}_budget_remaining", r.substrate),
-            r.budget_remaining,
-        );
-    }
 }
 
 #[cfg(test)]

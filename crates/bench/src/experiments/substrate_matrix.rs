@@ -253,33 +253,6 @@ pub fn table(rows: &[SubstrateOutcome]) -> Table {
     t
 }
 
-/// Records the matrix into the bench trajectory, one stat triple per
-/// substrate, so `BENCH_PR10.json` carries the three availability/MTTR
-/// columns side by side.
-pub fn record(summary: &mut crate::BenchSummary, rows: &[SubstrateOutcome]) {
-    for r in rows {
-        summary.record(
-            "substrate_matrix",
-            &format!("{}_availability", r.substrate),
-            r.availability,
-        );
-        if let Some(mttr) = r.mttr {
-            summary.record(
-                "substrate_matrix",
-                &format!("{}_mttr_ms", r.substrate),
-                mttr.as_millis_f64(),
-            );
-        }
-        if let Some(d) = r.detection {
-            summary.record(
-                "substrate_matrix",
-                &format!("{}_detection_ms", r.substrate),
-                d.as_millis_f64(),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,6 @@
 //! export next to the CSVs under `target/experiments/`, and rendering its
 //! per-phase span breakdown as a [`Table`].
 
-use std::fs;
 use std::io;
 use std::path::PathBuf;
 
@@ -18,11 +17,7 @@ use crate::Table;
 ///
 /// Propagates filesystem errors.
 pub fn save_jsonl(rec: &Recorder, name: &str) -> io::Result<PathBuf> {
-    let dir = crate::table::experiments_dir();
-    fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.jsonl"));
-    fs::write(&path, rec.to_jsonl())?;
-    Ok(path)
+    crate::table::save(&format!("{name}.jsonl"), &rec.to_jsonl())
 }
 
 /// Renders the recorder's per-phase span breakdown (one row per span name,

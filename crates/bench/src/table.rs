@@ -5,10 +5,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Where every experiment output (CSVs, JSONL exports, the bench
-/// trajectory) goes: `target/experiments` of the workspace the process
-/// *runs* in, as a path relative to the current directory. `cargo bench`
-/// and `cargo test` run from the package directory, hence the walk up; a
+/// Where every experiment output (CSVs, JSONL exports) goes:
+/// `target/experiments` of the workspace the process *runs* in, as a path
+/// relative to the current directory. `cargo bench` and `cargo test` run
+/// from the package directory, hence the walk up; a
 /// binary run from another checkout (an A/B copy, a scratch archive)
 /// writes there and nowhere else.
 pub(crate) fn experiments_dir() -> PathBuf {
@@ -26,6 +26,17 @@ fn experiments_dir_from(start: &Path) -> PathBuf {
     let mut dir: PathBuf = std::iter::repeat_n("..", up).collect();
     dir.extend(["target", "experiments"]);
     dir
+}
+
+/// Writes `contents` to `target/experiments/<file>` and returns the path;
+/// an error names the path it could not write.
+pub(crate) fn save(file: &str, contents: &str) -> io::Result<PathBuf> {
+    let dir = experiments_dir();
+    let path = dir.join(file);
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    fs::create_dir_all(&dir).map_err(named)?;
+    fs::write(&path, contents).map_err(named)?;
+    Ok(path)
 }
 
 /// A small result table, printed aligned and exportable as CSV.
@@ -149,11 +160,20 @@ impl Table {
     ///
     /// Propagates filesystem errors.
     pub fn save_csv(&self) -> io::Result<PathBuf> {
-        let dir = experiments_dir();
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.csv", self.name));
-        fs::write(&path, self.to_csv())?;
-        Ok(path)
+        save(&format!("{}.csv", self.name), &self.to_csv())
+    }
+
+    /// What every experiment does with a finished table: prints it, saves
+    /// the CSV ([`Table::save_csv`]) and prints `csv: <path>`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors — a full disk or a read-only `target/`
+    /// fails the experiment, it does not silently yield no CSV.
+    pub fn emit(&self) -> io::Result<()> {
+        self.print();
+        println!("csv: {}", self.save_csv()?.display());
+        Ok(())
     }
 }
 
