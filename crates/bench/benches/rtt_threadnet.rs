@@ -251,8 +251,9 @@ fn student_request(request_id: u64) -> WhisperMsg {
     }
 }
 
-/// Warm-up (cold discovery pays the proxy's 250 ms flood gather window and
-/// may wait out an election), then measure warm request round trips.
+/// Warm-up (cold discovery waits for every b-peer's flood answer, and at
+/// most the proxy's 250 ms gather window, and may wait out an election),
+/// then measure warm request round trips.
 fn run_request_cycle(
     c: &mut Criterion,
     label: &str,

@@ -304,8 +304,9 @@ mod tests {
     fn steady_service_rtt_is_low_single_digit_ms() {
         let h = service_rtt(30, 3, 5);
         assert_eq!(h.count(), 30);
-        // The first (cold) request pays discovery + the gather window; the
-        // steady state is the median.
+        // The first (cold) request pays discovery (the gather closes once
+        // every b-peer has answered) and the member lookup; the steady
+        // state is the median.
         let p50 = h.percentile(50.0).expect("samples").as_millis_f64();
         assert!((0.5..5.0).contains(&p50), "service RTT median {p50} ms");
         // no multi-second outliers in steady state

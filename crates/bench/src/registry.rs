@@ -380,7 +380,8 @@ fn cluster_health(_: &[String]) -> io::Result<ExitCode> {
 /// text) — first a cold request, whose critical path is
 /// `proxy.discover → proxy.members → proxy.bind → proxy.invoke →
 /// backend.execute`, then a warm one riding the cached binding — followed
-/// by a per-phase time summary and the network's message counters.
+/// by a per-phase time summary and the network's message counters. Exits
+/// non-zero when either request went untraced, unanswered or faulted.
 fn trace_request(_: &[String]) -> io::Result<ExitCode> {
     fn request_of(rec: &Recorder, client: NodeId, id: u64) -> Option<RequestId> {
         let label = format!("client{} #{id}", client.index());
@@ -400,6 +401,8 @@ fn trace_request(_: &[String]) -> io::Result<ExitCode> {
     let warm = net.submit_student_request(client, "u1007");
     net.run_for(SimDuration::from_secs(1));
 
+    let outcomes = net.client_outcomes(client);
+    let mut ok = true;
     for (heading, id) in [
         ("cold request (discovery + bind + execute)", cold),
         ("warm request (cached binding)", warm),
@@ -407,7 +410,19 @@ fn trace_request(_: &[String]) -> io::Result<ExitCode> {
         println!("--- {heading} ---");
         match request_of(&rec, client, id) {
             Some(req) => print!("{}", rec.render_request(req)),
-            None => println!("  (not traced)"),
+            None => {
+                println!("  (not traced)");
+                ok = false;
+            }
+        }
+        let verdict = match outcomes.iter().find(|o| o.id == id) {
+            Some(o) if o.fault => Some("answered with a fault"),
+            Some(o) if o.completed_at.is_some() => None,
+            _ => Some("not answered"),
+        };
+        if let Some(why) = verdict {
+            println!("  ({why})");
+            ok = false;
         }
         println!();
     }
@@ -432,7 +447,10 @@ fn trace_request(_: &[String]) -> io::Result<ExitCode> {
             println!("{name:<28} {value:>8}");
         }
     }
-    Ok(ExitCode::SUCCESS)
+    if !ok {
+        eprintln!("FAIL: the cold and the warm request must both be traced and answered");
+    }
+    Ok(exit_by(ok))
 }
 
 /// Boots the same 5-peer scenario on all three substrates (virtual time,

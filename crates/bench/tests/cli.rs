@@ -118,6 +118,34 @@ fn discovery_cost_through_the_binary_writes_the_library_s_bytes() {
     std::fs::remove_dir_all(&cwd).expect("cleanup");
 }
 
+/// `trace_request` prints both span trees and exits 0 only when the cold
+/// and the warm request were traced and answered; the cold one no longer
+/// waits out the discovery gather window.
+#[test]
+fn trace_request_exits_zero_with_both_requests_answered() {
+    let out = whisper_bench(&["trace_request"], Path::new("."));
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(out.stderr.is_empty(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    assert!(!stdout.contains("(not "), "{stdout}");
+    assert!(!stdout.contains("fault"), "{stdout}");
+    let (cold, rest) = stdout
+        .split_once("--- warm request")
+        .expect("both trees are printed");
+    let (warm, _) = rest
+        .split_once("--- where the time went")
+        .expect("the phase summary follows the trees");
+    assert!(cold.contains("proxy.discover"), "{cold}");
+    assert!(!warm.contains("proxy.discover"), "{warm}");
+    let discover_ms: f64 = cold
+        .lines()
+        .find(|l| l.contains("proxy.discover"))
+        .and_then(|l| l.split_whitespace().find_map(|w| w.strip_suffix("ms")))
+        .and_then(|ms| ms.parse().ok())
+        .expect("a duration on the proxy.discover line");
+    assert!(discover_ms < 5.0, "cold discovery took {discover_ms} ms");
+}
+
 /// `all` is E1–E12, E14 and E15 — what `all_experiments` ran before the
 /// registry — each once and in registry order, because it *is* the
 /// registry filtered by one flag.

@@ -73,10 +73,12 @@ pub struct ProxyConfig {
     /// Attempts (including re-binds and retries) before giving up with a
     /// `<soap:fault>`.
     pub max_attempts: u32,
-    /// How long to keep collecting flood responses to a group query before
-    /// choosing among the candidates. A longer window sees more of the
-    /// network and makes QoS-aware selection meaningful; zero selects on
-    /// the first response.
+    /// The longest wait, counted from the first useful response to a group
+    /// query, for the queried peers that have not answered yet. Selection
+    /// runs as soon as every queried peer has answered, so the window only
+    /// bounds a peer that never does (dead, cut off, or its frame lost);
+    /// a longer one lets a slow peer's groups compete in QoS-aware
+    /// selection. Zero selects on the first response.
     pub gather_window: SimDuration,
     /// End-to-end budget per request, measured from the moment the client
     /// request reached the proxy. Once exceeded, the retry/re-bind ladder
@@ -230,6 +232,10 @@ struct Pending {
     gathered: Vec<SemanticAdv>,
     /// Whether the gather timer is armed for the current group query.
     gathering: bool,
+    /// Peers the current group query went to that have not answered it
+    /// yet; once it is empty the answer set is complete and the gather
+    /// closes without waiting out the window.
+    unanswered: Vec<PeerId>,
     /// Groups this request already exhausted (every known member dead);
     /// excluded from subsequent selections so a stale cached advertisement
     /// cannot trap the request on a dead group.
@@ -851,6 +857,7 @@ impl SwsProxyActor {
                 candidates: Vec::new(),
                 gathered: Vec::new(),
                 gathering: false,
+                unanswered: Vec::new(),
                 failed_groups: Vec::new(),
                 dead_peers: Vec::new(),
                 group: None,
@@ -942,12 +949,14 @@ impl SwsProxyActor {
             rec.set_attr(span, "query", qid);
             rec.bind(trace::NS_QUERY, qid, req);
         }
+        let queried: Vec<PeerId> = sends.iter().map(|s| s.to).collect();
         for s in sends {
             self.send_to_peer(ctx, s.to, WhisperMsg::P2p(s.msg));
         }
         if let Some(p) = self.pending.get_mut(&request_id) {
             p.attempts += 1;
             p.state = PendingState::AwaitGroups(qid);
+            p.unanswered = queried;
             self.timeouts.push(ctx, request_id, p.attempts);
         }
     }
@@ -1113,6 +1122,7 @@ impl SwsProxyActor {
     fn handle_discovery_results(
         &mut self,
         ctx: &mut Context<'_, WhisperMsg>,
+        responder: PeerId,
         query: QueryId,
         advs: Vec<Advertisement>,
     ) {
@@ -1125,12 +1135,21 @@ impl SwsProxyActor {
         };
         match p.state {
             PendingState::AwaitGroups(q) if q == query => {
-                // Flood discovery returns one response per peer; collect
-                // them over a short gather window so selection sees the
-                // whole network, then decide once the window closes.
+                // Flood discovery returns one response per queried peer;
+                // selection waits for all of them, so it sees the whole
+                // network. The gather window, armed by the first useful
+                // response, bounds the wait for a peer that never answers
+                // (dead, cut off, or its frame lost).
                 p.gathered
                     .extend(advs.iter().filter_map(Advertisement::as_semantic).cloned());
-                if !p.gathering && !p.gathered.is_empty() {
+                p.unanswered.retain(|&peer| peer != responder);
+                if p.gathered.is_empty() {
+                    return;
+                }
+                if p.unanswered.is_empty() {
+                    let attempt = p.attempts;
+                    self.handle_gather_fired(ctx, request_id, attempt);
+                } else if !p.gathering {
                     p.gathering = true;
                     ctx.set_timer(
                         self.config.gather_window,
@@ -1377,7 +1396,16 @@ impl SwsProxyActor {
         }
     }
 
-    fn handle_gather_fired(&mut self, ctx: &mut Context<'_, WhisperMsg>, request_id: u64) {
+    /// Closes the gather of `attempt`'s group query and selects among what
+    /// it gathered: when every queried peer has answered, or when the
+    /// window runs out first. A window timer of an earlier query (one that
+    /// closed early and was followed by a re-query) is stale and ignored.
+    fn handle_gather_fired(
+        &mut self,
+        ctx: &mut Context<'_, WhisperMsg>,
+        request_id: u64,
+        attempt: u32,
+    ) {
         let picked: Option<(QueryId, GroupId)> = {
             let Some(p) = self.pending.get_mut(&request_id) else {
                 return;
@@ -1385,6 +1413,9 @@ impl SwsProxyActor {
             let PendingState::AwaitGroups(query) = p.state else {
                 return;
             };
+            if p.attempts != attempt {
+                return;
+            }
             p.gathering = false;
             let failed = &p.failed_groups;
             let candidates: Vec<SemanticAdv> = std::mem::take(&mut p.gathered)
@@ -1466,7 +1497,7 @@ impl Actor<WhisperMsg> for SwsProxyActor {
                 }
                 for ev in events {
                     let whisper_p2p::DiscoveryEvent::Results { query, advs } = ev;
-                    self.handle_discovery_results(ctx, query, advs);
+                    self.handle_discovery_results(ctx, from_peer, query, advs);
                 }
                 if let Some((group, owner)) = announced {
                     self.handle_pipe_announcement(ctx, group, owner);
@@ -1604,7 +1635,7 @@ impl Actor<WhisperMsg> for SwsProxyActor {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, WhisperMsg>, t: u64) {
-        let (request_id, _, purpose) = untoken(t);
+        let (request_id, attempt, purpose) = untoken(t);
         match purpose {
             PURPOSE_PULSE => self.emit_pulse(ctx),
             PURPOSE_TIMEOUT => loop {
@@ -1618,7 +1649,7 @@ impl Actor<WhisperMsg> for SwsProxyActor {
                 self.handle_timeout(ctx, request_id, attempt);
             },
             PURPOSE_BACKOFF => self.handle_backoff_fired(ctx, request_id),
-            PURPOSE_GATHER => self.handle_gather_fired(ctx, request_id),
+            PURPOSE_GATHER => self.handle_gather_fired(ctx, request_id, attempt),
             _ => {}
         }
     }

@@ -19,6 +19,14 @@
 //! announcement cut off, the story is the one recorded before failover
 //! went by notification, to the millisecond
 //! (`ANNOUNCEMENT_LOST_AT_PARENT`).
+//!
+//! All six were recorded again when the proxy's discovery gather came to
+//! close once every queried peer had answered, instead of always waiting
+//! out the 250 ms `gather_window`: the cold request `0` of each story is
+//! answered 249.9–250.0 ms sooner (`3251721 → 3001791`, `0:2000-2252 →
+//! 0:2000-2002`, …), and every other entry, counter and flag is the one
+//! recorded before, byte for byte — the warm binding never gathers, so no
+//! failover instant moved.
 
 use whisper::{
     BPeerConfig, DeploymentConfig, GroupSpec, ProxyConfig, ServiceBackend, StudentRegistry,
@@ -232,21 +240,21 @@ fn without_the_announcement_the_story_is_the_parents() {
 }
 
 const ANNOUNCEMENT_LOST_AT_PARENT: &str =
-    "faults=0 dup_responses=0 | 0:2000-2252 1:3000-4000 2:3200-4200 3:5000-5000";
+    "faults=0 dup_responses=0 | 0:2000-2002 1:3000-4000 2:3200-4200 3:5000-5000";
 
 const RECORDED: [&str; 5] = [
-    "rebinds=1 faults=0 dup_responses=0 | 0:3000000-3251721 1:4000000-4501064",
-    "rebinds=3 faults=0 dup_responses=0 | 0:3000000-3252007 1:4000000-4501134 \
+    "rebinds=1 faults=0 dup_responses=0 | 0:3000000-3001791 1:4000000-4501064",
+    "rebinds=3 faults=0 dup_responses=0 | 0:3000000-3002041 1:4000000-4501134 \
      2:24000000-24501077 3:44000000-44501043",
-    "rebinds=2 faults=1 dup_responses=0 | 0:3000000-3251639 1:4000000-12000494F \
+    "rebinds=2 faults=1 dup_responses=0 | 0:3000000-3001687 1:4000000-12000494F \
      2:49000000-49000834",
-    "rebinds=4 faults=0 dup_responses=0 | 0:3000000-3252112 1:4000000-4000925 \
+    "rebinds=4 faults=0 dup_responses=0 | 0:3000000-3002138 1:4000000-4000925 \
      2:5000000-5501031 3:6000000-6000878 4:7000000-7000815 5:8000000-8000881 \
      6:9000000-9001312 7:10000000-10000874 8:11000000-11000845 9:12000000-12000891 \
      10:13000000-13000822 11:14000000-14000878 12:15000000-15501149 \
      13:16000000-16000819 14:17000000-17000759 15:18000000-18000895 \
      16:19000000-19000897 17:20000000-20000932 18:21000000-21000848 \
      19:22000000-22000784 20:23000000-23000864 21:24000000-24000910",
-    "rebinds=2 faults=1 dup_responses=0 | 0:3000000-3251558 1:4000000-12000461F \
+    "rebinds=2 faults=1 dup_responses=0 | 0:3000000-3001588 1:4000000-12000461F \
      2:44000000-44000924",
 ];
