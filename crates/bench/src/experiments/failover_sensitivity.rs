@@ -10,11 +10,13 @@
 //! nothing (they bound the fallback paths only: a higher peer that is not
 //! suspected, a lost announcement), and detection tuning alone taking the
 //! worst case from seconds to hundreds of milliseconds. And since a crash
-//! is noticed by its closed links, what is left of (1) for the crash this
-//! experiment injects is one heartbeat period: the failure timeout bounds
-//! only failures that close nothing (a partition, a silent host).
-//! EXPERIMENTS.md E9 keeps the rows of the paper's design beside the new
-//! ones.
+//! is buried as soon as the transport reports its links closed, nothing of
+//! (1) is left for the crash this experiment injects either: every profile
+//! reads the same two 5 ms sweep steps (one to agree, one to answer; E2
+//! reads the whole failover at about a millisecond). The detector knobs —
+//! heartbeat period and failure timeout — now govern only faults that close
+//! nothing (a partition, a silent or stalled host). EXPERIMENTS.md E9 keeps
+//! the rows of the paper's design beside the new ones.
 
 use crate::experiments::rtt::FailoverBreakdown;
 use crate::Table;
@@ -176,30 +178,33 @@ pub fn table(rows: &[(Profile, FailoverBreakdown)]) -> Table {
 mod tests {
     use super::*;
 
+    /// Older than the transport-speed burial, this test's name states what
+    /// the knobs bought a crash when detection waited on them. Now a crash
+    /// is buried when its links close, so no knob is on its path: every
+    /// profile's crash total is within a hop of the others', read at the
+    /// sweep's 5 ms steps (one to agree, one to answer), far below any
+    /// profile's beacon period.
     #[test]
     fn tightened_profile_is_dramatically_faster_than_paper_defaults() {
         let all = run_sweep(3, 19);
-        let paper = &all[0].1;
-        let tight = &all.last().expect("non-empty").1;
-        // a crash is noticed by its closed links and confirmed by one
-        // silent beacon period — 500 ms of the paper-era defaults, no
-        // longer their seconds
-        assert!(
-            paper.total >= all[0].0.heartbeat_period && paper.total < all[0].0.failure_timeout,
-            "paper defaults should take one beacon period: {}",
-            paper.total
+        let hop = SimDuration::from_millis(5);
+        let totals: Vec<SimDuration> = all.iter().map(|(_, b)| b.total).collect();
+        let (fastest, slowest) = (
+            *totals.iter().min().expect("non-empty"),
+            *totals.iter().max().expect("non-empty"),
         );
         assert!(
-            tight.total.as_millis_f64() < paper.total.as_millis_f64() / 3.0,
-            "tightened profile should be at least 3x faster: {} vs {}",
-            tight.total,
-            paper.total
+            slowest <= fastest + hop,
+            "a knob moved a crash's failover: {totals:?}"
         );
-        assert!(
-            tight.total.as_millis_f64() < 1_500.0,
-            "tightened failover should be sub-1.5 s: {}",
-            tight.total
-        );
+        for (p, b) in &all {
+            assert!(
+                b.total <= hop + hop && b.total < p.heartbeat_period,
+                "{:?} should take two sweep steps, not a beacon period: {}",
+                p.name,
+                b.total
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The assertion that matters: each kill produces **exactly one** sealed
 //! capture, and inside it the story reads in happens-before order —
 //! fault-injection `kill`, then a survivor's `link-lost` for the dead
-//! peer, the `lost-confirmed` one silent beacon period later, the
+//! peer, its `lost-confirmed` in the same instant, the
 //! successor's `skipped-suspect` / `elected` / `announced` milestones, then
 //! the proxy re-binding the group to the new coordinator. That order is
 //! recovered purely from Lamport clocks — carried on the wire, and for the
@@ -157,8 +157,8 @@ pub fn run_on<N: Substrate<WhisperMsg>>(
         .cloned()
         .expect("every node has a ring");
     let service = booted.topology.group_ids[0].value();
-    // Three nines: a crash is repaired two beacon periods after the last
-    // beacon, which two nines would not notice.
+    // Three nines: a crash is repaired within the last beacon's age plus
+    // a hop, which two nines would not notice.
     let mut slo = SloEngine::new(SloConfig {
         availability_target: 0.999,
         ..SloConfig::default()

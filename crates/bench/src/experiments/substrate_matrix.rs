@@ -15,15 +15,19 @@
 //! MTTR here is detection + re-election (the proxy re-bind leg is
 //! measured separately by the RTT experiments), counted from the
 //! coordinator's last beacon. A crash closes the coordinator's links: the
-//! survivors are told, confirm it with one silent beacon period `hb`, and
-//! the one that outranks the others does not wait for an answer from the
-//! peer it has just buried — so every substrate should land in
-//! [`crash_repair_window`], `[hb, 2·hb + a hop]`, on the simulator exactly,
-//! which `fault_matrix` enforces. A partition ([`partition_plan`]) closes
-//! nothing and still costs the failure timeout `to`: `[to, to + 2·hb]`.
-//! (Before crashes were noticed by their links that was the crash's window
-//! too; before failover went by notification the Bully answer timeout `el`
-//! sat on top, `[to, to + hb + 2·el]`.)
+//! survivors are told one link latency later and bury it at once, and the
+//! one that outranks the others does not wait for an answer from the peer
+//! it has just buried — so what the ledger books is the beacon's age at the
+//! kill plus a hop, and every substrate should land in
+//! [`crash_repair_window`], `[one link latency, hb + a hop]` (the simulator
+//! exactly, the wall-clock rows within four times the ceiling), which
+//! `fault_matrix` enforces. A partition ([`partition_plan`]) closes nothing
+//! and still costs the failure timeout `to`: `[to, to + 2·hb]`. (While a
+//! lost link waited one silent beacon period `hb` for confirmation the
+//! crash's window was `[hb, 2·hb + a hop]`; before crashes were noticed by
+//! their links it was the partition's; before failover went by
+//! notification the Bully answer timeout `el` sat on top, `[to, to + hb +
+//! 2·el]`.)
 
 use crate::cluster::cluster_scenario;
 use crate::{ClusterTuning, Table};
@@ -129,16 +133,23 @@ pub fn partition_plan(topo: &Topology, t: &MatrixTuning) -> FaultPlan {
     plan
 }
 
-/// Where the ledger's MTTR of a coordinator *crash* must land: no repair
-/// before one beacon period (link evidence is suspicion until a period of
-/// silence confirms it), none later than the beacon's age at the kill plus
-/// that period plus an election hop.
-pub fn crash_repair_window(t: &ClusterTuning) -> (SimDuration, SimDuration) {
-    let hop = SimDuration::from_millis(5);
-    (
-        t.heartbeat_period,
-        t.heartbeat_period.saturating_mul(2) + hop,
-    )
+/// Where the ledger's MTTR of a coordinator *crash* on `substrate` must
+/// land, counted from its last beacon: no later than the beacon's age at
+/// the kill — at most one `heartbeat_period` — plus an election hop, and on
+/// the simulator no sooner than one link latency of its LAN (the survivors
+/// are told of the closed links that long after the kill, and the last
+/// beacon came before it). A wall-clock row (threads, TCP) has no floor —
+/// its transport reports a kill in microseconds — and four times the
+/// ceiling, the slack a loaded machine needs.
+pub fn crash_repair_window(t: &ClusterTuning, substrate: &str) -> (SimDuration, SimDuration) {
+    let ceiling = t.heartbeat_period + SimDuration::from_millis(5);
+    match substrate {
+        "sim" => (
+            whisper_simnet::SwitchedLan::paper_testbed().propagation,
+            ceiling,
+        ),
+        _ => (SimDuration::ZERO, ceiling.saturating_mul(4)),
+    }
 }
 
 /// Runs a schedule on one booted substrate and reads the ledger's
@@ -290,16 +301,15 @@ mod tests {
     /// [`crash_repair_window`].
     fn assert_outcome_sane(r: &SubstrateOutcome, t: &MatrixTuning) {
         let mttr = repaired_once(r);
-        let (floor, ceiling) = crash_repair_window(&t.cluster);
+        let (floor, ceiling) = crash_repair_window(&t.cluster, r.substrate);
         assert!(
             mttr >= floor,
-            "{}: a lost link was taken for death before one beacon period: {mttr} vs {floor}",
+            "{}: repaired before the closed links could be reported: {mttr} vs {floor}",
             r.substrate
         );
-        let ceiling = ceiling.saturating_mul(slack(r));
         assert!(
             mttr <= ceiling,
-            "{}: repair slower than link evidence + one beacon period: {mttr} vs {ceiling}",
+            "{}: repair slower than the beacon's age + a hop: {mttr} vs {ceiling}",
             r.substrate
         );
     }

@@ -8,11 +8,15 @@
 //! `Block`/`Unblock` — and no run may show a `link-lost` or a
 //! `lost-confirmed` mark for them, nor an election that is not owed to a
 //! heartbeat timeout. A third of the plans then kill the coordinator and
-//! restart it inside one beacon period: the survivors are told (`link-lost`)
-//! and the restarted peer's first words clear it again
-//! (`bpeer.link_lost_cleared`) — never `lost-confirmed`, and the only
-//! election is the come-back's own. Through all of it every request is
-//! answered exactly once and the settled group has one coordinator.
+//! restart it inside one beacon period. Back in the same instant, it has
+//! re-dialed before anyone read the loss: nobody is told, nothing is
+//! confirmed, and the only election is the come-back's own. Down any
+//! longer, it crashed: every survivor is told (`link-lost`), buries it at
+//! once (`lost-confirmed`) and starts an election, and the restarted
+//! peer's first words clear the marks again (`bpeer.link_lost_cleared`)
+//! and win the group back with the come-back's election. Through all of
+//! it every request is answered exactly once and the settled group has one
+//! coordinator.
 //!
 //! A failing seed prints its plan in `FaultPlan::to_text` form, replayable
 //! with `fault_matrix --plan`.
@@ -113,10 +117,13 @@ fn fault_marks<'a>(
     )
 }
 
-fn run_seed(seed: u64) {
+/// One seeded plan; `instant_restart` turns its bounce, if it has one, into
+/// a restart in the same instant (the gray weather stays the seed's).
+fn run_seed(seed: u64, instant_restart: bool) {
     let peers = if seed.is_multiple_of(2) { 3 } else { 5 };
     let mut rng = SmallRng::seed_from_u64(seed);
     let bounce = seed.is_multiple_of(3).then(|| rng.gen_range(0..40u64));
+    let bounce = bounce.map(|down_ms| if instant_restart { 0 } else { down_ms });
     let mut wiring = student_wiring(peers, || Box::new(EchoBackend), ClusterTuning::default());
     wiring.proxy.request_timeout = ms(300);
     wiring.recorder = Some(Recorder::new());
@@ -165,26 +172,40 @@ fn run_seed(seed: u64) {
 
     let timeline = rig.topology.flight.as_ref().expect("wired").capture();
     let events = timeline.events();
-    assert_eq!(
-        fault_marks(events, "lost-confirmed").count(),
-        0,
-        "{case}: a peer that never stayed dead was confirmed lost"
-    );
+    // A peer back in the same instant has re-dialed before anyone read the
+    // loss. Otherwise it crashed: every survivor and the proxy are told,
+    // and the b-peers among them bury it at once; the restarted peer's
+    // first words clear the marks.
+    let crashed = bounce.is_some_and(|down_ms| down_ms > 0);
+    let (told_expected, noted) = match crashed {
+        true => (peers as u64, peers as u64 - 1),
+        false => (0, 0),
+    };
     let bounce_at = t0 + ms(BOUNCE_AT_MS);
+    assert_eq!(
+        fault_marks(events, "lost-confirmed").count() as u64,
+        noted,
+        "{case}: a peer that never stayed dead was confirmed lost, or a crash was not"
+    );
     let told = fault_marks(events, "link-lost").count() as u64;
-    for e in fault_marks(events, "link-lost") {
+    for e in fault_marks(events, "link-lost").chain(fault_marks(events, "lost-confirmed")) {
         assert!(
-            bounce.is_some()
-                && e.at >= bounce_at
-                && e.kind.to_string().ends_with(&victim.to_string()),
+            crashed && e.at >= bounce_at && e.kind.to_string().ends_with(&victim.to_string()),
             "{case}: a link was lost to something that is not a crash: {e:?}"
         );
     }
     // An election the detector starts is owed to a heartbeat timeout, as
-    // it always was: the same ring holds the miss, and none comes with or
-    // after the bounce.
+    // it always was: the same ring holds the miss — or, from the bounce
+    // on, to the crash: the same node buried the victim first.
+    let mut started_by_survivors = 0;
     for (i, e) in events.iter().enumerate() {
         if !matches!(&e.kind, FlightEventKind::Election { detail, .. } if detail == "started") {
+            continue;
+        }
+        if bounce.is_some() && e.at >= bounce_at {
+            let buried = fault_marks(&events[..i], "lost-confirmed").any(|m| m.node == e.node);
+            assert!(buried, "{case}: an election not owed to the crash: {e:?}");
+            started_by_survivors += 1;
             continue;
         }
         let owed = events[..i]
@@ -194,24 +215,20 @@ fn run_seed(seed: u64) {
             owed,
             "{case}: an election without a heartbeat timeout: {e:?}"
         );
-        assert!(bounce.is_none() || e.at < bounce_at, "{case}: {e:?}");
     }
-    // A peer back in the same instant has re-dialed before anyone read the
-    // loss. Otherwise every survivor and the proxy are told; the b-peers
-    // among them note it, and the restarted peer's first words clear it.
-    let (told_expected, noted) = match bounce {
-        Some(down_ms) if down_ms > 0 => (peers as u64, peers as u64 - 1),
-        _ => (0, 0),
-    };
     assert_eq!(told, told_expected, "{case}");
     assert_eq!(recorder.counter("bpeer.link_lost"), noted, "{case}");
     assert_eq!(recorder.counter("bpeer.link_lost_cleared"), noted, "{case}");
     if bounce.is_some() {
         let before = elections_before_bounce.expect("the load outlasts the bounce");
+        assert!(
+            !crashed || started_by_survivors > 0,
+            "{case}: nobody replaced the victim"
+        );
         assert_eq!(
             recorder.counter("election.started") - before,
-            1,
-            "{case}: the come-back's own election is the only one"
+            started_by_survivors + 1,
+            "{case}: the survivors' election and the come-back's own are the only ones"
         );
     }
 }
@@ -219,6 +236,15 @@ fn run_seed(seed: u64) {
 #[test]
 fn gray_faults_and_instant_restarts_never_confirm_a_lost_link() {
     for seed in 0..SEEDS {
-        run_seed(seed);
+        run_seed(seed, false);
+    }
+}
+
+/// The generated bounces rarely land on zero; the seeds' own weather with
+/// every bounce a restart in the same instant.
+#[test]
+fn a_restart_in_the_same_instant_is_never_confirmed() {
+    for seed in (0..SEEDS).step_by(3).take(20) {
+        run_seed(seed, true);
     }
 }

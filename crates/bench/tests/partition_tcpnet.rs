@@ -13,7 +13,7 @@ use whisper_simnet::SimDuration;
 
 /// The TCP leg of the substrate matrix's partition schedule (sim and
 /// threads: `substrate_matrix::tests`): cutting the coordinator off closes
-/// no socket, so the repair is not the crash's one beacon period — it
+/// no socket, so the repair is not the crash's transport-speed burial — it
 /// still waits out the failure timeout.
 #[test]
 fn a_partition_still_costs_the_failure_timeout_on_tcp() {

@@ -67,12 +67,14 @@ fn coordinator_kill_is_ledgered_with_measured_mttr() {
     assert!(report.availability < 1.0);
 
     // The outage starts at the coordinator's last heartbeat; its closed
-    // sockets told the survivors, and one beacon period of silence — not
-    // the whole failure timeout — confirmed it.
+    // sockets told the survivors, who buried it at once: detection is the
+    // beacon's age at the kill (at most one period) plus the report, never
+    // the failure timeout. The slack absorbs a loaded machine's scheduling.
     let detection = interval.detection_latency();
+    let slack = SimDuration::from_millis(100);
     assert!(
-        detection >= tuning.heartbeat_period && detection < tuning.failure_timeout,
-        "a crash is detected by its closed links, one beacon period later: {interval:?}"
+        detection > SimDuration::ZERO && detection < tuning.heartbeat_period + slack,
+        "a crash is detected when its closed links are reported: {interval:?}"
     );
 
     // MTTR (last heartbeat → new coordinator) must match the measured

@@ -32,8 +32,6 @@ const TOKEN_HEARTBEAT: u64 = 1;
 const TOKEN_FD_CHECK: u64 = 2;
 const TOKEN_REPUBLISH: u64 = 3;
 const TOKEN_PULSE: u64 = 4;
-/// One run of the detector sweep, a beacon period after a link was lost.
-const TOKEN_LOST_CHECK: u64 = 5;
 const ELECTION_TOKEN_BASE: u64 = 1 << 63;
 const RESPONSE_TOKEN_BASE: u64 = 1 << 62;
 
@@ -302,6 +300,12 @@ pub struct BPeerActor {
     /// so each suspicion records one miss and one restore, not one per
     /// detector sweep.
     flight_suspects: std::collections::BTreeSet<u64>,
+    /// The `last_seen` each peer was last reported down to the ledger
+    /// with. The group shares one ledger, so a burial is reported once per
+    /// piece of evidence: a member that has heard the peer since (after a
+    /// restart) is not overruled, sweep after sweep, by this node's older
+    /// silence.
+    ledger_reports: std::collections::BTreeMap<PeerId, SimTime>,
 }
 
 impl BPeerActor {
@@ -347,6 +351,7 @@ impl BPeerActor {
             pulse_emitter: PulseEmitter::new(),
             flight: None,
             flight_suspects: std::collections::BTreeSet::new(),
+            ledger_reports: std::collections::BTreeMap::new(),
         }
     }
 
@@ -959,8 +964,8 @@ impl BPeerActor {
 
     /// One pass of the failure detector: flags and buries the peers it
     /// holds dead, and replaces a dead coordinator. Runs every heartbeat
-    /// period, and once a beacon period after a link was lost — waiting
-    /// for the periodic pass would add up to another period to the outage.
+    /// period, and at once when a link is lost — waiting for the periodic
+    /// pass would add up to a period to the outage.
     fn sweep_detector(&mut self, ctx: &mut Context<'_, WhisperMsg>) {
         let now = ctx.now();
         // Heartbeats form a star, so silence is only evidence for
@@ -977,9 +982,9 @@ impl BPeerActor {
             .copied()
             .filter(|p| monitored.contains(p))
             .collect();
-        // A lost link that a beacon period of silence has confirmed is
-        // evidence whoever the peer beacons: it cannot answer this node.
-        let lost = self.fd.lost_confirmed(now);
+        // A lost link is evidence whoever the peer beacons: it cannot
+        // answer this node.
+        let lost = self.fd.lost();
         if let Some(flight) = &self.flight {
             // record suspicion *transitions*: one mark when a peer is
             // buried, one restore when it is heard from again
@@ -1011,7 +1016,9 @@ impl BPeerActor {
         if let Some(ledger) = &self.ledger {
             for &p in &suspected {
                 let last_seen = self.fd.last_seen(p).unwrap_or(now);
-                ledger.peer_down(p.value(), last_seen, now);
+                if self.ledger_reports.insert(p, last_seen) != Some(last_seen) {
+                    ledger.peer_down(p.value(), last_seen, now);
+                }
             }
         }
         // An election does not wait for an answer from a peer this
@@ -1091,8 +1098,7 @@ impl Actor<WhisperMsg> for BPeerActor {
         // proxy's timeout has already failed the requests over. So are
         // responses deferred behind a service-time timer: the crash took
         // the timer, and the virtual servers it booked are free again.
-        // Lost-link evidence goes with the detector that held it; the
-        // sweep it armed was a timer, and the crash took that too.
+        // Lost-link evidence goes with the detector that held it.
         self.jobs.clear();
         self.stash.clear();
         self.busy_slots.fill(SimTime::ZERO);
@@ -1119,11 +1125,11 @@ impl Actor<WhisperMsg> for BPeerActor {
         if let Some(rec) = &self.obs {
             rec.incr("bpeer.link_lost", 1);
         }
-        // Suspicion, not death: one beacon period without a word from the
-        // peer confirms it, at a detector sweep armed for that instant.
-        self.fd
-            .link_lost(peer, ctx.now() + self.config.heartbeat_period);
-        ctx.set_timer(self.config.heartbeat_period, TOKEN_LOST_CHECK);
+        // A transport reports a lost link only once the peer's process let
+        // go of its sockets (a kill), never for gray weather: bury it now.
+        // A later word from it clears the mark (`on_message`).
+        self.fd.link_lost(peer);
+        self.sweep_detector(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, WhisperMsg>, from: NodeId, msg: WhisperMsg) {
@@ -1313,7 +1319,6 @@ impl Actor<WhisperMsg> for BPeerActor {
                 self.sweep_detector(ctx);
                 ctx.set_timer(self.config.heartbeat_period, TOKEN_FD_CHECK);
             }
-            TOKEN_LOST_CHECK => self.sweep_detector(ctx),
             TOKEN_PULSE => self.emit_pulse(ctx),
             _ => {}
         }

@@ -1140,17 +1140,15 @@ impl SwsProxyActor {
                 // selection waits for all of them, so it sees the whole
                 // network. The gather window, armed by the first useful
                 // response, bounds the wait for a peer that never answers
-                // (dead, cut off, or its frame lost).
+                // (dead, cut off, or its frame lost). A complete answer
+                // set closes the gather even when it holds nothing.
                 p.gathered
                     .extend(advs.iter().filter_map(Advertisement::as_semantic).cloned());
                 p.unanswered.retain(|&peer| peer != responder);
-                if p.gathered.is_empty() {
-                    return;
-                }
                 if p.unanswered.is_empty() {
                     let attempt = p.attempts;
                     self.handle_gather_fired(ctx, request_id, attempt);
-                } else if !p.gathering {
+                } else if !p.gathered.is_empty() && !p.gathering {
                     p.gathering = true;
                     ctx.set_timer(
                         self.config.gather_window,
@@ -1401,6 +1399,8 @@ impl SwsProxyActor {
     /// it gathered: when every queried peer has answered, or when the
     /// window runs out first. A window timer of an earlier query (one that
     /// closed early and was followed by a re-query) is stale and ignored.
+    /// Nothing acceptable in a complete answer set faults the request at
+    /// once; after a window a silent peer may still answer.
     fn handle_gather_fired(
         &mut self,
         ctx: &mut Context<'_, WhisperMsg>,
@@ -1440,8 +1440,20 @@ impl SwsProxyActor {
             .map(|idx| (query, candidates[idx].group))
         };
         let Some((query, group)) = picked else {
-            // keep waiting for more responses; the request timeout faults
-            // if nothing acceptable ever shows up
+            if self
+                .pending
+                .get(&request_id)
+                .is_some_and(|p| p.unanswered.is_empty())
+            {
+                self.reply_fault(
+                    ctx,
+                    request_id,
+                    FaultCode::Receiver,
+                    "no semantic peer group matches the request".to_string(),
+                );
+            }
+            // otherwise keep waiting for more responses; the request
+            // timeout faults if nothing acceptable ever shows up
             return;
         };
         self.queries.remove(&query);
@@ -1452,14 +1464,32 @@ impl SwsProxyActor {
         self.bind_or_find_members(ctx, request_id, group);
     }
 
-    fn handle_backoff_fired(&mut self, ctx: &mut Context<'_, WhisperMsg>, request_id: u64) {
+    /// Ends the wait of a request that was redirected while its group had
+    /// no coordinator, and binds it again. A timer of an earlier attempt is
+    /// stale and ignored. The binding is dropped (and the member cache
+    /// scanned) only while it points at a peer this request found dead: an
+    /// announcement may have moved it to the new coordinator meanwhile.
+    fn handle_backoff_fired(
+        &mut self,
+        ctx: &mut Context<'_, WhisperMsg>,
+        request_id: u64,
+        attempt: u32,
+    ) {
         let Some(p) = self.pending.get(&request_id) else {
             return;
         };
-        if let PendingState::Backoff(group) = p.state {
-            self.bindings.remove(&group);
-            self.bind_or_find_members(ctx, request_id, group);
+        let PendingState::Backoff(group) = p.state else {
+            return;
+        };
+        if p.attempts != attempt {
+            return;
         }
+        let bound = self.bindings.get(&group).map(|b| b.peer);
+        if bound.is_some_and(|b| p.dead_peers.contains(&b)) {
+            self.bindings.remove(&group);
+            self.note_rebind();
+        }
+        self.bind_or_find_members(ctx, request_id, group);
     }
 }
 
@@ -1649,7 +1679,7 @@ impl Actor<WhisperMsg> for SwsProxyActor {
                 };
                 self.handle_timeout(ctx, request_id, attempt);
             },
-            PURPOSE_BACKOFF => self.handle_backoff_fired(ctx, request_id),
+            PURPOSE_BACKOFF => self.handle_backoff_fired(ctx, request_id, attempt),
             PURPOSE_GATHER => self.handle_gather_fired(ctx, request_id, attempt),
             _ => {}
         }

@@ -14,7 +14,10 @@
 //! * E7's gold / silver / bronze groups: the cold request binds gold, so
 //!   selection still saw every group's answer;
 //! * a gather timer left armed by an early close is stale once the request
-//!   has moved on to a new query, and must not close that query's window.
+//!   has moved on to a new query, and must not close that query's window;
+//! * a request no group matches faults as soon as every queried peer has
+//!   answered without a match, not a request timeout later — unless a peer
+//!   is cut off and may still answer.
 
 use whisper::{
     BPeerConfig, Booted, ClientActor, ClientConfigTemplate, EchoBackend, FlakyBackend, GroupSpec,
@@ -261,6 +264,52 @@ fn the_cold_request_binds_gold_when_every_group_answered() {
             .map(|gi| proxy(&net).binding_of(net.topology.group_ids[gi]).is_some())
             .collect();
         assert_eq!(bound, [true, false, false], "seed {seed}: gold, only gold");
+    }
+}
+
+/// A request for `StudentTranscript`, an operation of the service that no
+/// deployed group offers.
+fn unmatched_envelope() -> String {
+    let mut payload = Element::new("StudentTranscript");
+    payload.push_child(Element::with_text("StudentID", "u1000"));
+    Envelope::request(payload).to_xml_string()
+}
+
+#[test]
+fn a_complete_answer_set_without_a_match_faults_at_once() {
+    const HOP: SimDuration = SimDuration::from_millis(5);
+    let (mut bpeer, proxy_cfg) = benchmark_timers();
+    bpeer.load_share = false;
+    let request_timeout = proxy_cfg.request_timeout;
+    for cut_off in [false, true] {
+        let (mut net, rec) = student_net(28, false, (bpeer.clone(), proxy_cfg.clone()));
+        if cut_off {
+            one_peer_cut_off(&mut net, false);
+        }
+        net.net.run_until(COLD_AT);
+        let id = net.submit_envelope(unmatched_envelope());
+        let answer = net
+            .await_response(id, request_timeout + HOP)
+            .expect("answered");
+        let text = Envelope::parse(&answer.envelope)
+            .expect("an envelope")
+            .as_fault()
+            .map(|f| f.reason.clone());
+        assert_eq!(
+            text.as_deref(),
+            Some("no semantic peer group matches the request"),
+            "cut_off={cut_off}"
+        );
+        let waited = answer.at.since(COLD_AT);
+        if cut_off {
+            // a peer that has not answered may still hold a match
+            assert!(waited >= request_timeout, "cut_off: faulted after {waited}");
+        } else {
+            assert!(waited <= HOP, "faulted after {waited}");
+            assert_eq!(rec.counter("discovery.responses"), 3, "all three answered");
+        }
+        assert_eq!(self::proxy(&net).stats().faults_generated, 1);
+        assert_eq!(self::proxy(&net).backlog().pending, 0);
     }
 }
 

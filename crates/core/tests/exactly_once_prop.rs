@@ -14,6 +14,7 @@ use whisper::{
     ScenarioWiring, ServiceBackend, StudentRegistry, SwsProxyActor, WhisperMsg,
 };
 use whisper_election::BullyConfig;
+use whisper_obs::Recorder;
 use whisper_p2p::{Advertisement, P2pMessage, PeerId, PipeAdv, PipeId};
 use whisper_simnet::{FaultAction, FaultPlan, NodeId, SimDuration, SimNet};
 use whisper_soap::Envelope;
@@ -126,12 +127,16 @@ const SEEDS: [u64; 3] = [3, 58, 407];
 /// failure timeout, 200 ms answer wait, 1 s request timeout), one manual
 /// client, the binding warmed by one request.
 fn fast_failover_net(seed: u64, proxy: ProxyConfig) -> Rig {
+    warmed(fast_failover_wiring(proxy), seed)
+}
+
+fn fast_failover_wiring(proxy: ProxyConfig) -> ScenarioWiring {
     let service = whisper_wsdl::samples::student_management();
     let op = service.operation("StudentInformation").expect("sample op");
     let backends: Vec<Box<dyn ServiceBackend>> = (0..3)
         .map(|_| Box::new(StudentRegistry::operational_db().with_sample_data()) as _)
         .collect();
-    let mut rig = ScenarioWiring {
+    ScenarioWiring {
         groups: vec![GroupSpec::from_operation("StudentInfoGroup", op, backends)],
         bpeer: BPeerConfig {
             heartbeat_period: SimDuration::from_millis(50),
@@ -149,8 +154,11 @@ fn fast_failover_net(seed: u64, proxy: ProxyConfig) -> Rig {
         },
         ..ScenarioWiring::student(1)
     }
-    .boot_sim(seed)
-    .expect("well-formed");
+}
+
+/// Boots `wiring` and warms the binding with one request.
+fn warmed(wiring: ScenarioWiring, seed: u64) -> Rig {
+    let mut rig = wiring.boot_sim(seed).expect("well-formed");
     rig.net.run_for(SimDuration::from_secs(2));
     let client = rig.topology.clients[0];
     rig.submit_from(client, StudentRegistry::request("u1004"));
@@ -472,5 +480,96 @@ fn stalled_coordinator_is_replaced_without_losing_or_repeating_an_answer() {
                 assert!(waited < REQUEST_TIMEOUT, "{case}: {waited}");
             }
         }
+    }
+}
+
+/// A request told "no coordinator yet" waits out `retry_backoff`. If the
+/// successor's announcement moves the binding meanwhile, the backoff must
+/// follow it: the binding is dropped only while it points at a peer this
+/// request found dead. (Dropping it unconditionally rescans the member
+/// cache, whose highest entry is still the dead coordinator's, and the
+/// request pays a request timeout there.)
+#[test]
+fn a_backoff_follows_the_announcement_that_moved_the_binding() {
+    for seed in SEEDS {
+        let case = format!("seed {seed}");
+        let mut wiring = fast_failover_wiring(ProxyConfig::default());
+        wiring.recorder = Some(Recorder::new());
+        let mut rig = warmed(wiring, seed);
+        let rec = rig.recorder.clone().expect("wired");
+        let client = rig.topology.clients[0];
+        let proxy = rig.topology.proxy;
+        let gid = rig.topology.group_ids[0];
+        let nodes = rig.topology.group_nodes[0].to_vec();
+        let backoff = ProxyConfig::default().retry_backoff;
+
+        // The survivors' own announcement is cut off, so this test says
+        // when the proxy hears it. The request goes to the dead coordinator.
+        let now = rig.net.now();
+        let mut plan = FaultPlan::new();
+        plan.partition_between(
+            &[proxy],
+            &nodes[..2],
+            now,
+            now + SimDuration::from_millis(100),
+        );
+        rig.net.apply_faults(&plan);
+        let dead = rig.kill_coordinator(0).expect("had a coordinator");
+        let id = rig.submit_from(client, StudentRegistry::request("u1004")) as usize;
+        rig.net.run_for(SimDuration::from_millis(120));
+        let successor = rig.coordinator_of(0).expect("the survivors elected");
+        assert_ne!(successor, dead);
+
+        // mid-election, a member answered "no coordinator yet"...
+        let redirects = rec.counter("proxy.redirects");
+        rig.net.inject(
+            nodes[0],
+            proxy,
+            WhisperMsg::PeerRedirect {
+                request_id: 1,
+                coordinator: None,
+            },
+        );
+        rig.net.run_for(SimDuration::from_millis(10));
+        assert_eq!(
+            rec.counter("proxy.redirects"),
+            redirects + 1,
+            "{case}: backing off"
+        );
+        // ...and then the successor's announcement arrives
+        let scans = rec.counter("proxy.member_scans");
+        let rebinds = rec.counter("proxy.rebinds");
+        let successor_node = rig.topology.directory.node_of(successor).expect("a node");
+        announce(&mut rig, successor_node);
+        rig.net.run_for(SimDuration::from_millis(10));
+        assert_eq!(
+            rig.net.node::<SwsProxyActor>(proxy).binding_of(gid),
+            Some(successor),
+            "{case}"
+        );
+        assert_eq!(rec.counter("proxy.rebinds"), rebinds + 1, "{case}");
+
+        rig.net.run_for(backoff + REQUEST_TIMEOUT + REQUEST_TIMEOUT);
+        assert_eq!(
+            assert_exactly_once_and_converged(&rig, &case),
+            successor,
+            "{case}"
+        );
+        assert_eq!(
+            rig.net.node::<SwsProxyActor>(proxy).binding_of(gid),
+            Some(successor),
+            "{case}"
+        );
+        assert_eq!(
+            (
+                rec.counter("proxy.member_scans") - scans,
+                rec.counter("proxy.rebinds") - rebinds
+            ),
+            (0, 1),
+            "{case}: the backoff dropped the fresh binding"
+        );
+        let o = &rig.net.node::<ClientActor>(client).outcomes()[id];
+        let waited = o.completed_at.expect("completed").since(o.sent_at);
+        assert!(waited < backoff + REQUEST_TIMEOUT, "{case}: {waited}");
     }
 }

@@ -327,44 +327,29 @@ fn bpeer_restart_drops_deferred_responses_and_frees_its_servers() {
     );
 }
 
-/// A b-peer told that a link is lost arms one detector sweep a beacon
-/// period out and keeps the evidence in its detector. A crash takes the
-/// timer; the restart must take the evidence with it (a fresh detector),
-/// or the restarted peer would hold a grudge nothing is armed to settle.
+/// A b-peer told that a link is lost buries the peer in the same handler:
+/// `link-lost` and `lost-confirmed` carry one instant. The evidence lives in
+/// the detector, and a restart must take it with it (a fresh detector), or
+/// the restarted peer would hold a grudge against a peer nothing it hears
+/// any more can clear.
 #[test]
-fn bpeer_restart_drops_lost_link_evidence_and_the_sweep_it_armed() {
+fn bpeer_restart_drops_lost_link_evidence_and_survivors_bury_at_once() {
     use whisper_obs::FlightEventKind;
-    /// `TOKEN_LOST_CHECK` of `bpeer.rs`.
-    const LOST_CHECK: u64 = 5;
 
     let mut wiring = ScenarioWiring::student(3);
     wiring.flight = Some(whisper_obs::flight::DEFAULT_RING_BYTES);
+    wiring.recorder = Some(whisper_obs::Recorder::new());
     wiring.bpeer.heartbeat_period = SimDuration::from_millis(50);
     wiring.bpeer.failure_timeout = SimDuration::from_millis(250);
     let mut rig = wiring.boot_sim(47).expect("well-formed");
+    let rec = rig.recorder.clone().expect("wired");
     assert!(rig.await_election(0, SimDuration::from_secs(30)));
     let (low, mid, top) = {
         let g = &rig.topology.group_nodes[0];
         (g[0], g[1], g[2])
     };
-
-    rig.net.kill_node(top);
-    rig.net.run_for(SimDuration::from_millis(10));
-    for survivor in [low, mid] {
-        assert!(
-            rig.net.pending_timers(survivor).contains(&LOST_CHECK),
-            "{survivor}: told, and the confirming sweep is armed"
-        );
-    }
-    rig.net.kill_node(low);
-    rig.net.run_for(SimDuration::from_millis(10));
-    rig.net.restart_node(low);
-    rig.net.run_for(SimDuration::from_micros(1)); // lets `on_restart` run
-    assert!(!rig.net.pending_timers(low).contains(&LOST_CHECK));
-
-    rig.net.run_for(SimDuration::from_millis(200));
-    let timeline = rig.topology.flight.as_ref().expect("wired").capture();
-    let marks = |node: whisper_simnet::NodeId| -> Vec<String> {
+    let marks = |rig: &Rig, node: whisper_simnet::NodeId| -> Vec<(SimTime, String)> {
+        let timeline = rig.topology.flight.as_ref().expect("wired").capture();
         let of_node = timeline
             .events()
             .iter()
@@ -372,23 +357,56 @@ fn bpeer_restart_drops_lost_link_evidence_and_the_sweep_it_armed() {
         of_node
             .filter_map(|e| match &e.kind {
                 FlightEventKind::Fault { action } if action.contains("lost") => {
-                    Some(action.clone())
+                    Some((e.at, action.clone()))
                 }
                 _ => None,
             })
             .collect()
     };
-    // the survivor that stayed up confirmed it (and won the election)...
+    let words =
+        |m: Vec<(SimTime, String)>| -> Vec<String> { m.into_iter().map(|(_, w)| w).collect() };
+
+    rig.net.kill_node(top);
+    rig.net.run_for(SimDuration::from_millis(10));
+    for survivor in [low, mid] {
+        let m = marks(&rig, survivor);
+        assert_eq!(
+            words(m.clone()),
+            [format!("link-lost {top}"), format!("lost-confirmed {top}")],
+            "{survivor}"
+        );
+        assert_eq!(m[0].0, m[1].0, "{survivor}: told and buried in one instant");
+    }
+    assert_eq!(rec.counter("bpeer.link_lost_cleared"), 0);
+
+    rig.net.kill_node(low);
+    rig.net.run_for(SimDuration::from_millis(10));
+    rig.net.restart_node(low);
+    rig.net.run_for(SimDuration::from_millis(200));
+    // the survivor that stayed up buried both; the restarted one's word
+    // cleared its mark on mid
     assert_eq!(
-        marks(mid),
+        words(marks(&rig, mid)),
         [
             format!("link-lost {top}"),
+            format!("lost-confirmed {top}"),
             format!("link-lost {low}"),
-            format!("lost-confirmed {top}")
+            format!("lost-confirmed {low}")
         ]
     );
-    // ...the one that restarted in between confirmed nothing: it follows
-    assert_eq!(marks(low), [format!("link-lost {top}")]);
+    assert_eq!(rec.counter("bpeer.link_lost_cleared"), 1, "mid heard low");
+    // ...the one that restarted in between marked nothing since: it follows
+    assert_eq!(
+        words(marks(&rig, low)),
+        [format!("link-lost {top}"), format!("lost-confirmed {top}")]
+    );
     let snaps = rig.poll(&[low, mid], SimDuration::from_secs(2));
     assert_eq!(snaps.coordinator(), Some(rig.topology.peer_of(mid).value()));
+
+    // When `top` comes back and speaks, only the peer that stayed up held
+    // a mark against it: the restarted one's detector is fresh.
+    rig.net.restart_node(top);
+    assert!(rig.await_election(0, SimDuration::from_secs(2)));
+    assert_eq!(rec.counter("bpeer.link_lost_cleared"), 2, "mid heard top");
+    assert_eq!(rig.coordinator_of(0), rig.topology.directory.peer_of(top));
 }

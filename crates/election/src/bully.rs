@@ -654,7 +654,7 @@ mod tests {
         // a stray start inside the cooldown is still swallowed
         assert_eq!(n.start_election(soon), Output::none());
         // the coordinator dies right after it was crowned, and the
-        // detector (link evidence: one beacon period) says so
+        // detector (link evidence, at once) says so
         let _ = n.set_suspects(ids(&[3]), soon);
         let out = n.start_election(soon);
         assert!(n.is_coordinator(), "elected inside the cooldown");

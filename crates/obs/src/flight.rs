@@ -114,8 +114,8 @@ pub enum FlightEventKind {
     /// it from one injected elsewhere.
     Fault {
         /// Action label, e.g. `"kill n2"`, `"block n0 n3"`; `"link-lost n2"`
-        /// where a killed peer's link closed, `"lost-confirmed n2"` where a
-        /// beacon period of silence then confirmed it.
+        /// where a killed peer's link closed, `"lost-confirmed n2"` where the
+        /// node then buried the peer.
         action: String,
     },
     /// The node's inbound queue reached a new high-water mark.

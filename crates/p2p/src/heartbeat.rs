@@ -1,7 +1,7 @@
 //! Heartbeat-based failure detection within b-peer groups.
 
 use crate::PeerId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use whisper_simnet::{SimDuration, SimTime};
 
 /// Tracks last-heard-from times for a set of peers and declares the ones
@@ -13,12 +13,13 @@ use whisper_simnet::{SimDuration, SimTime};
 ///
 /// Silence for the whole timeout is the only evidence a partition, a
 /// stalled or a slowed peer leaves. A crashed peer leaves more: its
-/// transport link closes. [`FailureDetector::link_lost`] takes that as
-/// suspicion with a short fuse — the peer is suspected once nothing has
-/// been heard from it until the given instant (the host gives one beacon
-/// period) — and any sign of life defuses it, so a peer that restarted at
-/// once, or a message that was still in flight, costs nothing but the
-/// fallback to the timeout.
+/// transport link closes, and every transport reports that only when the
+/// peer's process let go of its sockets — gray weather (loss, delay, a
+/// blocked pair, a stall) closes nothing. [`FailureDetector::link_lost`]
+/// therefore suspects the peer at once. Any later sign of life clears the
+/// mark, so a peer that restarts and speaks again, or a message that was
+/// still in flight behind the signal, brings back the timeout as the only
+/// judge.
 ///
 /// # Examples
 ///
@@ -37,8 +38,8 @@ pub struct FailureDetector {
     timeout: SimDuration,
     last_seen: BTreeMap<PeerId, SimTime>,
     /// Monitored peers whose link was lost and who have not been heard
-    /// from since, with the instant from which that silence confirms it.
-    lost: BTreeMap<PeerId, SimTime>,
+    /// from since.
+    lost: BTreeSet<PeerId>,
 }
 
 impl FailureDetector {
@@ -48,7 +49,7 @@ impl FailureDetector {
         FailureDetector {
             timeout,
             last_seen: BTreeMap::new(),
-            lost: BTreeMap::new(),
+            lost: BTreeSet::new(),
         }
     }
 
@@ -66,32 +67,24 @@ impl FailureDetector {
         if *e < now {
             *e = now;
         }
-        self.lost.remove(&peer).is_some()
+        self.lost.remove(&peer)
     }
 
-    /// Notes that the transport link from a monitored `peer` closed:
-    /// unless `peer` is heard from first, it is suspected from
-    /// `confirm_at` on. Ignored for a peer that is not monitored.
-    pub fn link_lost(&mut self, peer: PeerId, confirm_at: SimTime) {
+    /// Notes that the transport link from a monitored `peer` closed: it is
+    /// suspected until it is heard from again. Ignored for a peer that is
+    /// not monitored.
+    pub fn link_lost(&mut self, peer: PeerId) {
         if self.last_seen.contains_key(&peer) {
-            self.lost.insert(peer, confirm_at);
+            self.lost.insert(peer);
         }
     }
 
-    /// Peers whose lost link silence has confirmed at `now`, in id order —
-    /// the part of [`FailureDetector::suspected`] that rests on transport
-    /// evidence, which (unlike silence) also holds for a peer whose beacons
-    /// the host never expected.
-    pub fn lost_confirmed(&self, now: SimTime) -> Vec<PeerId> {
-        self.lost
-            .keys()
-            .copied()
-            .filter(|&p| self.loss_confirmed(p, now))
-            .collect()
-    }
-
-    fn loss_confirmed(&self, peer: PeerId, now: SimTime) -> bool {
-        self.lost.get(&peer).is_some_and(|&at| now >= at)
+    /// Peers whose link was lost and who have not been heard from since,
+    /// in id order — the part of [`FailureDetector::suspected`] that rests
+    /// on transport evidence, which (unlike silence) also holds for a peer
+    /// whose beacons the host never expected.
+    pub fn lost(&self) -> Vec<PeerId> {
+        self.lost.iter().copied().collect()
     }
 
     /// Stops monitoring `peer` (it left the group or was replaced).
@@ -101,7 +94,7 @@ impl FailureDetector {
     }
 
     fn is_suspected(&self, peer: PeerId, seen: SimTime, now: SimTime) -> bool {
-        (seen < now && now.since(seen) > self.timeout) || self.loss_confirmed(peer, now)
+        (seen < now && now.since(seen) > self.timeout) || self.lost.contains(&peer)
     }
 
     /// Whether `peer` is currently monitored.
@@ -110,7 +103,7 @@ impl FailureDetector {
     }
 
     /// Peers silent for longer than the timeout at `now`, and peers whose
-    /// lost link has confirmed, in id order. A last-seen timestamp at or
+    /// link was lost, in id order. A last-seen timestamp at or
     /// after `now` counts as alive.
     pub fn suspected(&self, now: SimTime) -> Vec<PeerId> {
         self.last_seen
@@ -227,36 +220,73 @@ mod tests {
         assert_eq!(d.ages(t(0)), vec![(PeerId::new(1), SimDuration::ZERO)]);
     }
 
+    /// The fuse is the transport's own: the link is reported closed only
+    /// once the peer's process let go of it, so the mark holds from the
+    /// report on, and any sign of life defuses it.
     #[test]
     fn a_lost_link_confirms_after_its_fuse_and_any_sign_of_life_defuses_it() {
         let mut d = fd();
         let (p, q) = (PeerId::new(1), PeerId::new(2));
         d.record(p, t(0));
         d.record(q, t(0));
-        d.link_lost(p, t(60));
-        // suspicion, not death: nothing changes before the fuse runs out
-        assert!(d.suspected(t(59)).is_empty());
-        assert_eq!(d.alive(t(59)), vec![p, q]);
-        assert_eq!(d.suspected(t(60)), vec![p]);
-        assert_eq!(d.lost_confirmed(t(60)), vec![p]);
-        assert_eq!(d.alive(t(60)), vec![q]);
+        d.link_lost(p);
+        // suspected in the same instant, long before the timeout
+        assert_eq!(d.suspected(t(0)), vec![p]);
+        assert_eq!(d.lost(), vec![p]);
+        assert_eq!(d.alive(t(0)), vec![q]);
 
         // A message that was still in flight when the link closed arrives
         // after the signal: the loss is cleared, the timeout is back.
-        assert!(d.record(p, t(61)));
-        assert!(!d.record(p, t(62)), "nothing left to clear");
+        assert!(d.record(p, t(1)));
+        assert!(!d.record(p, t(2)), "nothing left to clear");
         assert!(d.suspected(t(100)).is_empty());
-        assert!(d.lost_confirmed(t(100)).is_empty());
-        assert_eq!(d.suspected(t(163)), vec![p, q]);
+        assert!(d.lost().is_empty());
+        assert_eq!(d.suspected(t(103)), vec![p, q]);
+    }
 
-        // an unmonitored peer's link is nobody's evidence; forgetting a
-        // peer forgets its lost link
-        d.link_lost(PeerId::new(9), t(0));
-        assert!(d.lost_confirmed(t(500)).is_empty());
-        d.link_lost(q, t(0));
-        d.forget(q);
+    #[test]
+    fn link_lost_marks_only_monitored_peers_and_lost_lists_them_in_id_order() {
+        let mut d = fd();
+        let (p, q, r) = (PeerId::new(1), PeerId::new(2), PeerId::new(3));
+        d.record(r, t(0));
+        d.record(p, t(0));
+        d.record(q, t(0));
+        // an unmonitored peer's link is nobody's evidence
+        d.link_lost(PeerId::new(9));
+        assert!(d.lost().is_empty());
+        assert!(d.suspected(t(0)).is_empty());
+        // a second report of the same loss changes nothing
+        d.link_lost(r);
+        d.link_lost(p);
+        d.link_lost(r);
+        assert_eq!(d.lost(), vec![p, r]);
+        assert_eq!(d.suspected(t(0)), vec![p, r]);
+        assert_eq!(d.alive(t(0)), vec![q]);
+        // a lost peer is suspected whatever its last-seen stamp says
         d.record(q, t(500));
-        assert_eq!(d.suspected(t(500)), vec![p], "silent since 62 ms");
+        d.link_lost(q);
+        assert_eq!(d.suspected(t(0)), vec![p, q, r]);
+    }
+
+    #[test]
+    fn record_clears_only_the_speakers_mark_and_forget_drops_it() {
+        let mut d = fd();
+        let (p, q) = (PeerId::new(1), PeerId::new(2));
+        d.record(p, t(0));
+        d.record(q, t(0));
+        d.link_lost(p);
+        d.link_lost(q);
+        // a word stamped no later still proves a link: the mark goes, the
+        // clock stays
+        assert!(d.record(q, t(0)));
+        assert_eq!(d.lost(), vec![p]);
+        assert_eq!(d.last_seen(q), Some(t(0)));
+        // forgetting a peer forgets its lost link; monitored again, it
+        // starts clean
+        d.forget(p);
+        assert!(d.lost().is_empty());
+        assert!(!d.record(p, t(50)), "no mark survived the forget");
+        assert_eq!(d.suspected(t(120)), vec![q], "silent since 0 ms");
     }
 
     #[test]
